@@ -1,0 +1,50 @@
+//! Small order statistics over measured samples.
+
+/// The `q`-quantile (0..=1) of `values` by linear interpolation between
+/// closest ranks; `0.0` for an empty slice.
+pub fn quantile(values: &[f64], q: f64) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    let mut v = values.to_vec();
+    v.sort_unstable_by(f64::total_cmp);
+    let pos = q.clamp(0.0, 1.0) * (v.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
+}
+
+pub fn median(values: &[f64]) -> f64 {
+    quantile(values, 0.5)
+}
+
+pub fn mean(values: &[f64]) -> f64 {
+    if values.is_empty() {
+        0.0
+    } else {
+        values.iter().sum::<f64>() / values.len() as f64
+    }
+}
+
+/// `a / b`, or `0.0` when nothing was counted.
+pub fn share(a: f64, b: f64) -> f64 {
+    if b == 0.0 {
+        0.0
+    } else {
+        a / b
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quantiles_interpolate() {
+        let v = [4.0, 1.0, 3.0, 2.0];
+        assert_eq!(quantile(&v, 0.0), 1.0);
+        assert_eq!(quantile(&v, 1.0), 4.0);
+        assert_eq!(median(&v), 2.5);
+        assert_eq!(quantile(&[], 0.5), 0.0);
+    }
+}
