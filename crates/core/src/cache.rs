@@ -30,67 +30,37 @@ struct Slot<P> {
     last_used: u64,
 }
 
-/// Registry mirrors of the cache's internal counters (see
-/// [`PlanCache::attach_obs`]). Updated under the cache mutex, so the
-/// mirrored values can only trail the internal ones between operations,
-/// never disagree after one completes. In debug builds a shadow copy of
-/// every count this cache has pushed into its mirrors is kept alongside
-/// and asserted against the internal counters on every bump, so mirror
-/// drift fails loudly at the exact operation that introduced it instead
-/// of surfacing as a confusing trace diff later.
-#[derive(Debug)]
-struct ObsCounters {
-    hits: obs::Counter,
-    misses: obs::Counter,
-    evictions: obs::Counter,
-    duplicate_inserts: obs::Counter,
-    /// What this cache believes it has mirrored (the registry counters may
-    /// aggregate several caches sharing a prefix, so they can't be compared
-    /// against [`CacheStats`] directly — this per-cache shadow can).
-    #[cfg(debug_assertions)]
-    shadow: ShadowCounts,
+/// The cache's event counters, in [`Inner::counts`] order; each is also
+/// the suffix of its registry counter (see [`PlanCache::attach_obs`]).
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    Hit,
+    Miss,
+    Eviction,
+    DuplicateInsert,
 }
 
-#[cfg(debug_assertions)]
-#[derive(Debug, Default)]
-struct ShadowCounts {
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    duplicate_inserts: u64,
-}
+const EVENT_NAMES: [&str; 4] = ["hits", "misses", "evictions", "duplicate_inserts"];
 
 #[derive(Debug)]
 struct Inner<P> {
     slots: HashMap<Key, Slot<P>>,
     clock: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    duplicate_inserts: u64,
-    obs: Option<ObsCounters>,
+    /// Per-[`Event`] totals for this cache ([`CacheStats`]).
+    counts: [u64; 4],
+    /// The attached registry counters, per [`Event`].
+    obs: Option<[obs::Counter; 4]>,
 }
 
-/// Bump one internal counter and its registry mirror together (both under
-/// the cache mutex), then debug-assert the mirror's per-cache shadow still
-/// equals the internal count — the "mirrors always agree" invariant.
-macro_rules! bump_mirrored {
-    ($inner:expr, $field:ident, $what:literal) => {{
-        $inner.$field += 1;
-        #[cfg(debug_assertions)]
-        let internal = $inner.$field;
-        if let Some(o) = $inner.obs.as_mut() {
-            o.$field.inc();
-            #[cfg(debug_assertions)]
-            {
-                o.shadow.$field += 1;
-                debug_assert_eq!(
-                    o.shadow.$field, internal,
-                    concat!("plan-cache ", $what, " mirror drifted from CacheStats"),
-                );
-            }
+impl<P> Inner<P> {
+    /// Count one event in this cache and in the attached registry, both
+    /// under the cache mutex — the only place either is written.
+    fn bump(&mut self, event: Event) {
+        self.counts[event as usize] += 1;
+        if let Some(counters) = &self.obs {
+            counters[event as usize].inc();
         }
-    }};
+    }
 }
 
 /// Running totals for cache effectiveness reporting.
@@ -148,47 +118,28 @@ impl<P> PlanCache<P> {
             inner: Mutex::new(Inner {
                 slots: HashMap::new(),
                 clock: 0,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-                duplicate_inserts: 0,
+                counts: [0; 4],
                 obs: None,
             }),
             capacity: capacity.max(1),
         }
     }
 
-    /// Mirror this cache's counters into `registry` under
+    /// Also count this cache's events in `registry`, under
     /// `{prefix}.hits`, `.misses`, `.evictions`, and `.duplicate_inserts`.
     /// Several caches may share one prefix (the registry counters then
-    /// aggregate across them); the mirrored counters always agree with
-    /// [`PlanCache::stats`] — `hits + misses == lookups` — because both
-    /// are bumped under the same lock.
+    /// aggregate across them). One function bumps a cache count and its
+    /// registry counter together under the cache lock, so for a cache
+    /// attached before its first lookup the two always agree —
+    /// `hits + misses == lookups`.
     ///
-    /// The mirrors are registered as *scheduling* counters: with more than
+    /// The registry counters are *scheduling* counters: with more than
     /// one worker, which thread warms a key first is a race (two threads
     /// can both miss and compile), so the hit/miss split is reproducible
     /// only at `NLI_THREADS=1` even though their sum is always exact.
     pub fn attach_obs(&self, registry: &obs::Registry, prefix: &str) {
-        let mut inner = self.inner.lock();
-        // Seed the debug shadow from the counts accumulated before
-        // attachment, so the shadow == internal invariant holds for caches
-        // instrumented late.
-        #[cfg(debug_assertions)]
-        let shadow = ShadowCounts {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            duplicate_inserts: inner.duplicate_inserts,
-        };
-        inner.obs = Some(ObsCounters {
-            hits: registry.scheduling_counter(&format!("{prefix}.hits")),
-            misses: registry.scheduling_counter(&format!("{prefix}.misses")),
-            evictions: registry.scheduling_counter(&format!("{prefix}.evictions")),
-            duplicate_inserts: registry.scheduling_counter(&format!("{prefix}.duplicate_inserts")),
-            #[cfg(debug_assertions)]
-            shadow,
-        });
+        self.inner.lock().obs =
+            Some(EVENT_NAMES.map(|name| registry.scheduling_counter(&format!("{prefix}.{name}"))));
     }
 
     /// Look up `(source, fingerprint, epoch)`; on a miss, compile via
@@ -213,10 +164,10 @@ impl<P> PlanCache<P> {
             {
                 slot.last_used = clock;
                 let plan = Arc::clone(&slot.plan);
-                bump_mirrored!(inner, hits, "hits");
+                inner.bump(Event::Hit);
                 return Ok(plan);
             }
-            bump_mirrored!(inner, misses, "misses");
+            inner.bump(Event::Miss);
         }
         // Compile outside the lock: builds can be slow, and a build that
         // panics must not poison concurrent lookups. Two racing threads may
@@ -234,7 +185,7 @@ impl<P> PlanCache<P> {
             },
         );
         if displaced.is_some() {
-            bump_mirrored!(inner, duplicate_inserts, "duplicate_inserts");
+            inner.bump(Event::DuplicateInsert);
         }
         if inner.slots.len() > self.capacity {
             if let Some(oldest) = inner
@@ -244,7 +195,7 @@ impl<P> PlanCache<P> {
                 .map(|(k, _)| k.clone())
             {
                 inner.slots.remove(&oldest);
-                bump_mirrored!(inner, evictions, "evictions");
+                inner.bump(Event::Eviction);
             }
         }
         Ok(plan)
@@ -260,11 +211,12 @@ impl<P> PlanCache<P> {
 
     pub fn stats(&self) -> CacheStats {
         let inner = self.inner.lock();
+        let [hits, misses, evictions, duplicate_inserts] = inner.counts;
         CacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            duplicate_inserts: inner.duplicate_inserts,
+            hits,
+            misses,
+            evictions,
+            duplicate_inserts,
             len: inner.slots.len(),
             capacity: self.capacity,
         }
@@ -379,25 +331,24 @@ mod tests {
             let _ = cache.get_or_insert(src, fp, 0, || Ok(9));
         }
         let stats = cache.stats();
-        let snap = registry.snapshot();
-        let sched = |name: &str| snap.scheduling.get(name).copied();
-        assert_eq!(sched("plan_cache.hits"), Some(stats.hits));
-        assert_eq!(sched("plan_cache.misses"), Some(stats.misses));
-        assert_eq!(sched("plan_cache.evictions"), Some(stats.evictions));
-        assert_eq!(
-            sched("plan_cache.hits").unwrap() + sched("plan_cache.misses").unwrap(),
-            stats.lookups(),
-            "registry hits+misses must equal CacheStats lookups"
-        );
+        assert_registry_matches(&registry, "plan_cache", stats);
         assert!(stats.evictions > 0, "capacity 2 with 4 keys must evict");
     }
 
-    /// The mirror drift guard, end to end: after a randomized workload of
-    /// hits, misses, failed builds, fingerprint changes, and eviction
-    /// pressure, the registry mirrors must equal the `CacheStats` fields
-    /// exactly (one cache on a fresh registry, so no aggregation blurs the
-    /// comparison — and every operation also exercised the debug shadow
-    /// assertions along the way).
+    /// Every registry counter under `prefix` equals its `CacheStats` field.
+    fn assert_registry_matches(registry: &crate::obs::Registry, prefix: &str, stats: CacheStats) {
+        let snap = registry.snapshot();
+        let sched = |name: &str| snap.scheduling.get(&format!("{prefix}.{name}")).copied();
+        assert_eq!(sched("hits"), Some(stats.hits));
+        assert_eq!(sched("misses"), Some(stats.misses));
+        assert_eq!(sched("evictions"), Some(stats.evictions));
+        assert_eq!(sched("duplicate_inserts"), Some(stats.duplicate_inserts));
+    }
+
+    /// After a randomized workload of hits, misses, failed builds,
+    /// fingerprint changes, and eviction pressure, the registry counters
+    /// must equal the `CacheStats` fields exactly (one cache on a fresh
+    /// registry, so no aggregation blurs the comparison).
     #[test]
     fn obs_mirrors_track_stats_exactly_under_randomized_workload() {
         let registry = crate::obs::Registry::new();
@@ -417,18 +368,13 @@ mod tests {
             }
         }
         let stats = cache.stats();
-        let snap = registry.snapshot();
-        let sched = |name: &str| snap.scheduling.get(name).copied().unwrap_or(0);
-        assert_eq!(sched("mirror.hits"), stats.hits);
-        assert_eq!(sched("mirror.misses"), stats.misses);
-        assert_eq!(sched("mirror.evictions"), stats.evictions);
-        assert_eq!(sched("mirror.duplicate_inserts"), stats.duplicate_inserts);
+        assert_registry_matches(&registry, "mirror", stats);
         assert_eq!(stats.lookups(), 2000);
         assert!(stats.hits > 0 && stats.misses > 0 && stats.evictions > 0);
     }
 
-    /// Same invariant under 8-thread contention: the mirrors are bumped
-    /// under the cache mutex, so per-counter totals stay exact even though
+    /// Same invariant under 8-thread contention: the registry counters are
+    /// bumped under the cache mutex, so per-counter totals stay exact even though
     /// the hit/miss split itself is scheduling-dependent.
     #[test]
     fn obs_mirrors_stay_exact_under_contention() {
@@ -448,12 +394,7 @@ mod tests {
             }
         });
         let stats = cache.stats();
-        let snap = registry.snapshot();
-        let sched = |name: &str| snap.scheduling.get(name).copied().unwrap_or(0);
-        assert_eq!(sched("mirror.hits"), stats.hits);
-        assert_eq!(sched("mirror.misses"), stats.misses);
-        assert_eq!(sched("mirror.evictions"), stats.evictions);
-        assert_eq!(sched("mirror.duplicate_inserts"), stats.duplicate_inserts);
+        assert_registry_matches(&registry, "mirror", stats);
         assert_eq!(stats.lookups(), 8 * 500);
     }
 

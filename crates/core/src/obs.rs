@@ -1,5 +1,5 @@
-//! Zero-dependency observability: counters, gauges, histograms, span
-//! timing, and stable JSON trace export.
+//! Zero-dependency observability: counters, gauges, histograms, stage
+//! spans, and stable JSON trace export.
 //!
 //! PRs 1–2 built a prepared-statement plan cache and a deterministic
 //! work-stealing pool; this module makes both visible. Every instrumented
@@ -9,6 +9,16 @@
 //! ([`Snapshot::to_json`]), which the bench binaries write when the
 //! `NLI_TRACE` environment variable names a path
 //! ([`export_trace_if_requested`]).
+//!
+//! ## One primitive per stage
+//!
+//! A stage is instrumented once, with [`Registry::span`] — or, on hot
+//! paths, a [`Stage`] handle resolved once and [`Stage::enter`]ed per
+//! call. The [`Span`] guard takes one measurement and records it into the
+//! stage's µs histogram, into a [`TraceEvent`] when tracing is on (see
+//! below), and into the stage's rolling window when it has one
+//! ([`Registry::windowed_stage`]), so the three cannot disagree. Every
+//! histogram kind sits on one bucket core parameterised by its bounds.
 //!
 //! ## Metric classes and the determinism contract
 //!
@@ -43,17 +53,14 @@
 //! ## Windowed metrics
 //!
 //! Cumulative counters answer "how much since boot"; a live operator asks
-//! "how fast *right now*". [`Registry::windowed_histogram`] provides the
-//! rolling view: a ring of [`WINDOW_SLOTS`] one-second buckets driven by a
-//! process-monotonic clock, each slot a fixed-bucket duration histogram.
-//! Recording stamps the current slot (lazily resetting slots whose stamp
-//! has expired), and [`WindowedHistogram::summary`] folds the slots of the
-//! last N seconds into count, rate, and p50/p95/p99 estimates — queryable
-//! at any moment while the process runs, which is what the `nli-server`
-//! admin `STATS` frame serves. Windowed metrics are wall-clock driven and
-//! therefore **scheduling class**: they export in their own `"windows"`
-//! section and never appear in [`Snapshot::deterministic_json`], so the
-//! determinism contracts of DESIGN.md §3.2/§3.7 are untouched.
+//! "how fast *right now*". A [`WindowedHistogram`] is a ring of
+//! [`WINDOW_SLOTS`] one-second histograms driven by a process-monotonic
+//! clock; recording stamps the current slot (lazily resetting expired
+//! ones), and [`WindowedHistogram::summary`] folds the last N seconds into
+//! count, rate, and p50/p95/p99 estimates — what the `nli-server` admin
+//! `STATS` frame serves. Windows are wall-clock driven and therefore
+//! **scheduling class**: they export in their own `"windows"` section and
+//! never appear in [`Snapshot::deterministic_json`].
 //!
 //! Two snapshots can also be *diffed*: [`Snapshot::delta`] subtracts an
 //! earlier snapshot's monotone sections (counters, scheduling counters,
@@ -63,21 +70,20 @@
 //!
 //! ## Per-query trace events
 //!
-//! Aggregate histograms answer "how long does `sql.execute` take on
-//! average"; they cannot answer "where did *this* query spend its time".
-//! [`Registry::trace_span`] fills that gap: when trace-event recording is
-//! enabled ([`Registry::set_trace_events`], or
-//! [`enable_trace_events_from_env`] when `NLI_TRACE` is set), every
-//! `trace_span` call records a [`TraceEvent`] — id, parent id, label,
-//! µs duration — into a per-thread span stack. When the outermost span on
-//! a thread closes, the completed [`TraceTree`] is appended to the
-//! registry and exported as the `trace_events` section of the trace JSON.
-//! Event ids and nesting are deterministic (pre-order within the tree,
-//! one query's spans all run on one worker); durations and the order of
-//! trees across threads are scheduling-dependent, which is why
-//! `trace_events` is excluded from [`Snapshot::deterministic_json`].
-//! When recording is disabled (the default), `trace_span` is one relaxed
-//! atomic load — hot paths stay branch-cheap.
+//! Histograms answer "how long does `sql.execute` take on average"; trace
+//! trees answer "where did *this* query spend its time". When recording
+//! is enabled ([`Registry::set_trace_events`], or
+//! [`enable_trace_events_from_env`] when `NLI_TRACE` is set), every span
+//! also records a [`TraceEvent`] — id, parent id, label, µs — nested under
+//! the innermost span open on its thread; when a thread's outermost span
+//! closes, the completed [`TraceTree`] joins the `trace_events` export
+//! section. Ids and nesting are deterministic: pre-order within a tree,
+//! and every [`crate::par`] work item starts a fresh tree
+//! (`detach_trace`), so shapes do not depend on `NLI_THREADS`.
+//! Durations and cross-thread tree order are not, which is why
+//! `trace_events` is excluded from [`Snapshot::deterministic_json`]. With
+//! recording off, a span's trace side is one relaxed atomic load plus an
+//! empty thread-local check.
 //!
 //! ## Example
 //!
@@ -164,62 +170,83 @@ impl Gauge {
 }
 
 #[derive(Debug)]
-struct HistogramInner {
-    /// One cell per [`BUCKET_BOUNDS_MICROS`] entry plus the overflow bucket.
+struct Cells {
+    bounds: &'static [u64],
+    /// One cell per entry of `bounds`, plus the overflow cell.
     buckets: Vec<AtomicU64>,
     count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
 
-/// A fixed-bucket histogram of microsecond durations. Cloning shares the
-/// cells; recording is a few relaxed atomic adds, safe from any thread.
+/// The bucket core under every histogram kind: a fixed-bucket histogram
+/// over a bounds table — [`BUCKET_BOUNDS_MICROS`] for durations (the
+/// default, also each [`WindowedHistogram`] slot), [`VALUE_BUCKET_BOUNDS`]
+/// for value histograms. A value lands in the first bucket whose bound is
+/// `>=` it, or the overflow bucket. Cloning shares the cells; recording is
+/// a few relaxed atomic adds, safe from any thread.
 #[derive(Debug, Clone)]
-pub struct Histogram(Arc<HistogramInner>);
+pub struct Histogram(Arc<Cells>);
 
 impl Histogram {
     pub fn new() -> Histogram {
-        Histogram(Arc::new(HistogramInner {
-            buckets: (0..=BUCKET_BOUNDS_MICROS.len())
-                .map(|_| AtomicU64::new(0))
-                .collect(),
+        Histogram::with_bounds(&BUCKET_BOUNDS_MICROS)
+    }
+
+    /// A histogram over `bounds` (ascending inclusive upper bounds).
+    fn with_bounds(bounds: &'static [u64]) -> Histogram {
+        Histogram(Arc::new(Cells {
+            bounds,
+            buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }))
     }
 
-    /// Record one observation (in microseconds).
-    pub fn record(&self, micros: u64) {
-        let idx = BUCKET_BOUNDS_MICROS
-            .iter()
-            .position(|&le| micros <= le)
-            .unwrap_or(BUCKET_BOUNDS_MICROS.len());
-        self.0.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.0.count.fetch_add(1, Ordering::Relaxed);
-        self.0.sum.fetch_add(micros, Ordering::Relaxed);
-        self.0.max.fetch_max(micros, Ordering::Relaxed);
-    }
-
-    /// Start a timing guard that records into this histogram when dropped.
-    pub fn time(&self) -> Span {
-        Span {
-            hist: self.clone(),
-            start: Instant::now(),
-        }
+    /// Record one observation.
+    pub fn record(&self, value: u64) {
+        let c = &self.0;
+        let idx = c.bounds.partition_point(|&le| le < value);
+        c.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        c.count.fetch_add(1, Ordering::Relaxed);
+        c.sum.fetch_add(value, Ordering::Relaxed);
+        c.max.fetch_max(value, Ordering::Relaxed);
     }
 
     pub fn count(&self) -> u64 {
         self.0.count.load(Ordering::Relaxed)
     }
 
+    /// Fold `other` (same bounds) into this histogram.
+    fn merge(&self, other: &Histogram) {
+        let (c, o) = (&self.0, &other.0);
+        for (acc, n) in c.buckets.iter().zip(&o.buckets) {
+            acc.fetch_add(n.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+        c.count
+            .fetch_add(o.count.load(Ordering::Relaxed), Ordering::Relaxed);
+        c.sum
+            .fetch_add(o.sum.load(Ordering::Relaxed), Ordering::Relaxed);
+        c.max
+            .fetch_max(o.max.load(Ordering::Relaxed), Ordering::Relaxed);
+    }
+
+    fn reset(&self) {
+        let c = &self.0;
+        for cell in c.buckets.iter().chain([&c.count, &c.sum, &c.max]) {
+            cell.store(0, Ordering::Relaxed);
+        }
+    }
+
     fn snapshot(&self) -> HistogramSnapshot {
+        let c = &self.0;
         HistogramSnapshot {
-            count: self.0.count.load(Ordering::Relaxed),
-            sum_micros: self.0.sum.load(Ordering::Relaxed),
-            max_micros: self.0.max.load(Ordering::Relaxed),
-            buckets: self
-                .0
+            bounds: c.bounds,
+            count: c.count.load(Ordering::Relaxed),
+            sum: c.sum.load(Ordering::Relaxed),
+            max: c.max.load(Ordering::Relaxed),
+            buckets: c
                 .buckets
                 .iter()
                 .map(|b| b.load(Ordering::Relaxed))
@@ -231,64 +258,6 @@ impl Histogram {
 impl Default for Histogram {
     fn default() -> Self {
         Histogram::new()
-    }
-}
-
-/// A fixed-bucket histogram of unit-less *values* (batch sizes, queue
-/// depths) over [`VALUE_BUCKET_BOUNDS`]. Same relaxed-atomic cells as
-/// [`Histogram`], but a value distribution rather than a duration one —
-/// and, like scheduling counters, the recorded distribution may depend on
-/// how work happened to interleave, so value histograms export in their
-/// own `"values"` section and stay out of the deterministic view.
-#[derive(Debug, Clone)]
-pub struct ValueHistogram(Arc<HistogramInner>);
-
-impl ValueHistogram {
-    pub fn new() -> ValueHistogram {
-        ValueHistogram(Arc::new(HistogramInner {
-            buckets: (0..=VALUE_BUCKET_BOUNDS.len())
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }))
-    }
-
-    /// Record one observation.
-    pub fn record(&self, value: u64) {
-        let idx = VALUE_BUCKET_BOUNDS
-            .iter()
-            .position(|&le| value <= le)
-            .unwrap_or(VALUE_BUCKET_BOUNDS.len());
-        self.0.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.0.count.fetch_add(1, Ordering::Relaxed);
-        self.0.sum.fetch_add(value, Ordering::Relaxed);
-        self.0.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
-    }
-
-    fn snapshot(&self) -> ValueHistogramSnapshot {
-        ValueHistogramSnapshot {
-            count: self.0.count.load(Ordering::Relaxed),
-            sum: self.0.sum.load(Ordering::Relaxed),
-            max: self.0.max.load(Ordering::Relaxed),
-            buckets: self
-                .0
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-        }
-    }
-}
-
-impl Default for ValueHistogram {
-    fn default() -> Self {
-        ValueHistogram::new()
     }
 }
 
@@ -309,31 +278,7 @@ fn window_clock_secs() -> u64 {
 struct WindowSlot {
     /// The tick (second) these counts belong to; `u64::MAX` = never used.
     stamp: u64,
-    /// Parallel to [`BUCKET_BOUNDS_MICROS`], plus the overflow bucket.
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl WindowSlot {
-    fn empty() -> WindowSlot {
-        WindowSlot {
-            stamp: u64::MAX,
-            buckets: vec![0; BUCKET_BOUNDS_MICROS.len() + 1],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
-    fn reset_for(&mut self, stamp: u64) {
-        self.stamp = stamp;
-        self.buckets.iter_mut().for_each(|b| *b = 0);
-        self.count = 0;
-        self.sum = 0;
-        self.max = 0;
-    }
+    hist: Histogram,
 }
 
 /// A rolling time-windowed duration histogram: a ring of [`WINDOW_SLOTS`]
@@ -355,8 +300,12 @@ pub struct WindowedHistogram(Arc<Mutex<Vec<WindowSlot>>>);
 
 impl WindowedHistogram {
     pub fn new() -> WindowedHistogram {
+        let slot = || WindowSlot {
+            stamp: u64::MAX,
+            hist: Histogram::new(),
+        };
         WindowedHistogram(Arc::new(Mutex::new(
-            (0..WINDOW_SLOTS).map(|_| WindowSlot::empty()).collect(),
+            (0..WINDOW_SLOTS).map(|_| slot()).collect(),
         )))
     }
 
@@ -371,16 +320,10 @@ impl WindowedHistogram {
         let mut slots = self.0.lock();
         let slot = &mut slots[(tick as usize) % WINDOW_SLOTS];
         if slot.stamp != tick {
-            slot.reset_for(tick);
+            slot.stamp = tick;
+            slot.hist.reset();
         }
-        let idx = BUCKET_BOUNDS_MICROS
-            .iter()
-            .position(|&le| micros <= le)
-            .unwrap_or(BUCKET_BOUNDS_MICROS.len());
-        slot.buckets[idx] += 1;
-        slot.count += 1;
-        slot.sum += micros;
-        slot.max = slot.max.max(micros);
+        slot.hist.record(micros);
     }
 
     /// Summarize the last `window_secs` seconds ending now (clamped to
@@ -393,31 +336,21 @@ impl WindowedHistogram {
     /// (test hook; production callers use [`WindowedHistogram::summary`]).
     pub fn summary_at(&self, now: u64, window_secs: u64) -> WindowSummary {
         let window = window_secs.clamp(1, WINDOW_SLOTS as u64);
-        let lo = now.saturating_sub(window - 1);
-        let mut buckets = vec![0u64; BUCKET_BOUNDS_MICROS.len() + 1];
-        let mut count = 0;
-        let mut sum = 0;
-        let mut max = 0;
-        for slot in self.0.lock().iter() {
-            if slot.stamp < lo || slot.stamp > now {
-                continue;
-            }
-            for (acc, b) in buckets.iter_mut().zip(&slot.buckets) {
-                *acc += b;
-            }
-            count += slot.count;
-            sum += slot.sum;
-            max = max.max(slot.max);
+        let live = now.saturating_sub(window - 1)..=now;
+        let total = Histogram::new();
+        for slot in self.0.lock().iter().filter(|s| live.contains(&s.stamp)) {
+            total.merge(&slot.hist);
         }
+        let total = total.snapshot();
         WindowSummary {
             window_secs: window,
-            count,
-            sum_micros: sum,
-            max_micros: max,
-            rps_x1000: count * 1000 / window,
-            p50_micros: bucket_percentile(&buckets, count, max, 50),
-            p95_micros: bucket_percentile(&buckets, count, max, 95),
-            p99_micros: bucket_percentile(&buckets, count, max, 99),
+            count: total.count,
+            sum_micros: total.sum,
+            max_micros: total.max,
+            rps_x1000: total.count * 1000 / window,
+            p50_micros: total.percentile(50),
+            p95_micros: total.percentile(95),
+            p99_micros: total.percentile(99),
         }
     }
 }
@@ -426,28 +359,6 @@ impl Default for WindowedHistogram {
     fn default() -> Self {
         WindowedHistogram::new()
     }
-}
-
-/// The `pct`-th percentile estimated from fixed buckets: the upper bound
-/// of the bucket holding the rank, or the observed max for the overflow
-/// bucket (and 0 when nothing was recorded). An upper-bound estimate —
-/// never below the true percentile by more than one bucket's width.
-fn bucket_percentile(buckets: &[u64], count: u64, max: u64, pct: u64) -> u64 {
-    if count == 0 {
-        return 0;
-    }
-    let rank = ((count * pct).div_ceil(100)).max(1);
-    let mut seen = 0;
-    for (i, n) in buckets.iter().enumerate() {
-        seen += n;
-        if seen >= rank {
-            return match BUCKET_BOUNDS_MICROS.get(i) {
-                Some(&bound) => bound.min(max),
-                None => max, // overflow bucket: the max is the best bound
-            };
-        }
-    }
-    max
 }
 
 /// Frozen summary of one [`WindowedHistogram`] over its full window. All
@@ -466,19 +377,82 @@ pub struct WindowSummary {
     pub p99_micros: u64,
 }
 
-/// RAII wall-clock timer: created by [`Histogram::time`] / [`Registry::span`],
-/// records the elapsed microseconds into its histogram on drop. Timing is
+/// A resolved instrumentation point: one stage's µs histogram, its trace
+/// label, and its rolling window when it has one. Resolve it once
+/// ([`Registry::stage`]) and [`Stage::enter`] it per call; cloning shares
+/// the handle.
+#[derive(Debug, Clone)]
+pub struct Stage(Arc<StageInner>);
+
+#[derive(Debug)]
+struct StageInner {
+    registry: Registry,
+    label: String,
+    hist: Histogram,
+    window: Option<WindowedHistogram>,
+}
+
+impl Stage {
+    /// Open a span of this stage; it records when dropped or
+    /// [`Span::finish`]ed.
+    pub fn enter(&self) -> Span {
+        let event = self.0.registry.open_event(&self.0.label);
+        Span {
+            stage: self.clone(),
+            event,
+            start: Instant::now(),
+            open: true,
+        }
+    }
+
+    /// The stage's rolling window, when it has one.
+    pub fn window(&self) -> Option<&WindowedHistogram> {
+        self.0.window.as_ref()
+    }
+}
+
+/// RAII guard for one entry into a [`Stage`], created by [`Stage::enter`]
+/// or [`Registry::span`]. It takes one wall-clock measurement and records
+/// it, when it closes, into the stage's histogram, its trace event (when
+/// recording was on at open) and its window (when it has one). Timing is
 /// observational only — nothing in the pipeline reads it back, so entering
 /// spans cannot perturb any computed result.
 #[derive(Debug)]
+#[must_use = "dropping immediately records a zero-length span"]
 pub struct Span {
-    hist: Histogram,
+    stage: Stage,
+    /// The open trace event's id, when recording was on at open.
+    event: Option<u32>,
     start: Instant,
+    open: bool,
+}
+
+impl Span {
+    /// Close the span now and return the microseconds it recorded.
+    pub fn finish(mut self) -> u64 {
+        self.close()
+    }
+
+    fn close(&mut self) -> u64 {
+        self.open = false;
+        let micros = self.start.elapsed().as_micros() as u64;
+        let stage = &self.stage.0;
+        stage.hist.record(micros);
+        if let Some(window) = &stage.window {
+            window.record(micros);
+        }
+        if let Some(id) = self.event {
+            stage.registry.close_event(id, micros);
+        }
+        micros
+    }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        self.hist.record(self.start.elapsed().as_micros() as u64);
+        if self.open {
+            self.close();
+        }
     }
 }
 
@@ -488,7 +462,7 @@ struct Tables {
     scheduling: BTreeMap<String, Counter>,
     gauges: BTreeMap<String, Gauge>,
     spans: BTreeMap<String, Histogram>,
-    values: BTreeMap<String, ValueHistogram>,
+    values: BTreeMap<String, Histogram>,
     windows: BTreeMap<String, WindowedHistogram>,
 }
 
@@ -505,8 +479,8 @@ pub struct TraceEvent {
     pub micros: u64,
 }
 
-/// A completed per-query span tree: every [`Registry::trace_span`] that
-/// opened (transitively) under one outermost span on one thread.
+/// A completed per-query span tree: every span that opened (transitively)
+/// under one outermost span on one thread while recording was on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceTree {
     /// Events in id (= open) order; `events[0]` is the root.
@@ -591,79 +565,34 @@ fn thread_capture_active(key: usize) -> bool {
     CAPTURE_FRAMES.with(|f| f.borrow().iter().any(|c| c.key == key))
 }
 
-/// RAII guard for one trace event: created by [`Registry::trace_span`],
-/// finalizes its [`TraceEvent`] (and, for the outermost span, the whole
-/// [`TraceTree`]) on drop. A no-op when recording was disabled at open.
-#[derive(Debug)]
-#[must_use = "dropping immediately records a zero-length span"]
-pub struct TraceSpan(Option<TraceSpanInner>);
-
-#[derive(Debug)]
-struct TraceSpanInner {
-    registry: Registry,
-    key: usize,
-    id: u32,
-    start: Instant,
-}
-
-impl Drop for TraceSpan {
-    fn drop(&mut self) {
-        let Some(inner) = self.0.take() else {
-            return;
-        };
-        let micros = inner.start.elapsed().as_micros() as u64;
-        let finished = ACTIVE_TRACES.with(|a| {
-            let mut a = a.borrow_mut();
-            let pos = a.iter().position(|t| t.key == inner.key)?;
-            let t = &mut a[pos];
-            t.events[inner.id as usize].micros = micros;
-            // Guards drop LIFO, but be defensive about leaked inner spans:
-            // close everything opened after this one.
-            while let Some(top) = t.stack.pop() {
-                if top == inner.id {
-                    break;
-                }
-            }
-            if t.stack.is_empty() {
-                Some(a.swap_remove(pos).events)
-            } else {
-                None
-            }
-        });
-        if let Some(events) = finished {
-            // A scoped capture on this thread claims the tree; otherwise
-            // it goes to the registry's shared (bounded) store.
-            let mut events = Some(events);
-            CAPTURE_FRAMES.with(|f| {
-                let mut f = f.borrow_mut();
-                if let Some(frame) = f.iter_mut().rev().find(|c| c.key == inner.key) {
-                    frame.trees.push(TraceTree {
-                        events: events.take().expect("tree routed twice"),
-                    });
-                }
-            });
-            let Some(events) = events else {
-                return;
-            };
-            let mut state = inner.registry.traces.lock();
-            if state.trees.len() < MAX_TRACE_TREES {
-                state.trees.push(TraceTree { events });
-            } else {
-                drop(state);
-                inner
-                    .registry
-                    .scheduling_counter("obs.trace_trees_dropped")
-                    .inc();
-            }
+/// Run `f` with this thread's open spans set aside: spans opened inside
+/// `f` start fresh trace trees, and the set-aside spans resume when `f`
+/// returns (or unwinds). The [`crate::par`] runtime runs every work item
+/// this way, so an item's tree has the same shape whether the item ran
+/// inline on the calling thread or on a pool worker.
+pub(crate) fn detach_trace<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(Vec<ActiveTrace>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            let outer = std::mem::take(&mut self.0);
+            ACTIVE_TRACES.with(|a| *a.borrow_mut() = outer);
         }
     }
+    let _restore = Restore(ACTIVE_TRACES.with(|a| std::mem::take(&mut *a.borrow_mut())));
+    f()
+}
+
+/// The metric registered under `name` in `table`, registering a fresh one
+/// on first use.
+fn registered<T: Clone + Default>(table: &mut BTreeMap<String, T>, name: &str) -> T {
+    table.entry(name.to_string()).or_default().clone()
 }
 
 /// A thread-safe metric registry. Cloning shares the tables; metric
-/// handles ([`Counter`], [`Gauge`], [`Histogram`]) are registered by name
-/// on first use and shared by every later registration of the same name,
-/// so call sites can cache handles and skip the registry lock on hot
-/// paths. The process-wide default registry is [`global`].
+/// handles ([`Counter`], [`Gauge`], [`Histogram`], [`Stage`]) are
+/// registered by name on first use and shared by every later registration
+/// of the same name, so call sites can cache handles and skip the registry
+/// lock on hot paths. The process-wide default registry is [`global`].
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     tables: Arc<Mutex<Tables>>,
@@ -679,34 +608,19 @@ impl Registry {
     /// A deterministic counter: its value must be a pure function of the
     /// workload (and the configured `NLI_THREADS`), never of scheduling.
     pub fn counter(&self, name: &str) -> Counter {
-        self.tables
-            .lock()
-            .counters
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+        registered(&mut self.tables.lock().counters, name)
     }
 
     /// A scheduling counter: steal counts, per-worker totals — values that
     /// two otherwise identical runs may legitimately disagree on. Exported
     /// in a separate section so deterministic diffs stay clean.
     pub fn scheduling_counter(&self, name: &str) -> Counter {
-        self.tables
-            .lock()
-            .scheduling
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+        registered(&mut self.tables.lock().scheduling, name)
     }
 
     /// A deterministic last-write-wins gauge.
     pub fn gauge(&self, name: &str) -> Gauge {
-        self.tables
-            .lock()
-            .gauges
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+        registered(&mut self.tables.lock().gauges, name)
     }
 
     /// A value histogram: a distribution of unit-less magnitudes (batch
@@ -714,12 +628,12 @@ impl Registry {
     /// class: what values get recorded may legitimately differ between two
     /// otherwise identical runs, so the `"values"` export section — like
     /// `"scheduling"` — is excluded from [`Snapshot::deterministic_json`].
-    pub fn value_histogram(&self, name: &str) -> ValueHistogram {
+    pub fn value_histogram(&self, name: &str) -> Histogram {
         self.tables
             .lock()
             .values
             .entry(name.to_string())
-            .or_default()
+            .or_insert_with(|| Histogram::with_bounds(&VALUE_BUCKET_BOUNDS))
             .clone()
     }
 
@@ -728,29 +642,44 @@ impl Registry {
     /// the `"windows"` export section is excluded from
     /// [`Snapshot::deterministic_json`].
     pub fn windowed_histogram(&self, name: &str) -> WindowedHistogram {
-        self.tables
+        registered(&mut self.tables.lock().windows, name)
+    }
+
+    /// The timing histogram of stage `name` (registered on first use).
+    fn span_histogram(&self, name: &str) -> Histogram {
+        registered(&mut self.tables.lock().spans, name)
+    }
+
+    /// Resolve stage `name`: its timing histogram (registered on first
+    /// use) and, when a window named `{name}.window` is registered, that
+    /// window. Hot paths resolve once and [`Stage::enter`] per call.
+    pub fn stage(&self, name: &str) -> Stage {
+        let hist = self.span_histogram(name);
+        let window = self
+            .tables
             .lock()
             .windows
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+            .get(&format!("{name}.window"))
+            .cloned();
+        Stage(Arc::new(StageInner {
+            registry: self.clone(),
+            label: name.to_string(),
+            hist,
+            window,
+        }))
     }
 
-    /// The timing histogram of stage `stage` (registered on first use).
-    pub fn span_histogram(&self, stage: &str) -> Histogram {
-        self.tables
-            .lock()
-            .spans
-            .entry(stage.to_string())
-            .or_default()
-            .clone()
+    /// [`Registry::stage`] for a stage that also feeds the rolling window
+    /// `{name}.window`, registering the window first.
+    pub fn windowed_stage(&self, name: &str) -> Stage {
+        self.windowed_histogram(&format!("{name}.window"));
+        self.stage(name)
     }
 
-    /// Enter stage `stage`: returns a guard that records the stage's
-    /// wall-clock duration when dropped. Hot paths should cache the
-    /// [`Registry::span_histogram`] handle and call [`Histogram::time`].
-    pub fn span(&self, stage: &str) -> Span {
-        self.span_histogram(stage).time()
+    /// Enter stage `name`: a guard that times, traces and windows the
+    /// stage (see [`Span`]). Shorthand for `self.stage(name).enter()`.
+    pub fn span(&self, name: &str) -> Span {
+        self.stage(name).enter()
     }
 
     /// Turn per-query trace-event recording on or off (off by default).
@@ -759,23 +688,25 @@ impl Registry {
         self.trace_enabled.store(enabled, Ordering::Relaxed);
     }
 
-    /// Whether [`Registry::trace_span`] is currently recording.
+    /// Whether spans currently record trace events.
     pub fn trace_events_enabled(&self) -> bool {
         self.trace_enabled.load(Ordering::Relaxed)
     }
 
+    /// This registry's identity in the thread-local trace state.
+    fn trace_key(&self) -> usize {
+        Arc::as_ptr(&self.traces) as usize
+    }
+
     /// Open a trace event labelled `label`, nested under the innermost
-    /// event currently open on this thread (for this registry). The
-    /// returned guard closes the event on drop; when the outermost event
-    /// of a thread closes, the completed [`TraceTree`] is appended to the
-    /// registry. When recording is disabled (and no
-    /// [`Registry::capture_thread_traces`] scope is active on this
-    /// thread) this is one relaxed atomic load plus an empty
-    /// thread-local check, and the guard is inert.
-    pub fn trace_span(&self, label: &str) -> TraceSpan {
-        let key = Arc::as_ptr(&self.traces) as usize;
+    /// event currently open on this thread (for this registry), and return
+    /// its id. `None` — nothing recorded — when recording is disabled and
+    /// no [`Registry::capture_thread_traces`] scope is active on this
+    /// thread.
+    fn open_event(&self, label: &str) -> Option<u32> {
+        let key = self.trace_key();
         if !self.trace_enabled.load(Ordering::Relaxed) && !thread_capture_active(key) {
-            return TraceSpan(None);
+            return None;
         }
         let id = ACTIVE_TRACES.with(|a| {
             let mut a = a.borrow_mut();
@@ -800,12 +731,51 @@ impl Registry {
             t.stack.push(id);
             id
         });
-        TraceSpan(Some(TraceSpanInner {
-            registry: self.clone(),
-            key,
-            id,
-            start: Instant::now(),
-        }))
+        Some(id)
+    }
+
+    /// Close event `id` with its duration; when it was the outermost open
+    /// event, hand the completed tree to the innermost capture scope on
+    /// this thread, or else to the registry's shared (bounded) store.
+    fn close_event(&self, id: u32, micros: u64) {
+        let key = self.trace_key();
+        let finished = ACTIVE_TRACES.with(|a| {
+            let mut a = a.borrow_mut();
+            let pos = a.iter().position(|t| t.key == key)?;
+            let t = &mut a[pos];
+            t.events[id as usize].micros = micros;
+            // Guards drop LIFO, but be defensive about leaked inner spans:
+            // close everything opened after this one.
+            while let Some(top) = t.stack.pop() {
+                if top == id {
+                    break;
+                }
+            }
+            if t.stack.is_empty() {
+                Some(a.swap_remove(pos).events)
+            } else {
+                None
+            }
+        });
+        let Some(events) = finished else {
+            return;
+        };
+        let mut tree = Some(TraceTree { events });
+        CAPTURE_FRAMES.with(|f| {
+            if let Some(frame) = f.borrow_mut().iter_mut().rev().find(|c| c.key == key) {
+                frame.trees.extend(tree.take());
+            }
+        });
+        let Some(tree) = tree else {
+            return;
+        };
+        let mut state = self.traces.lock();
+        if state.trees.len() < MAX_TRACE_TREES {
+            state.trees.push(tree);
+        } else {
+            drop(state);
+            self.scheduling_counter("obs.trace_trees_dropped").inc();
+        }
     }
 
     /// Take (and clear) every completed trace tree, in completion order.
@@ -825,7 +795,7 @@ impl Registry {
     /// (e.g. pool workers) follow the normal rules. Scopes nest; the
     /// innermost scope for a registry claims its trees.
     pub fn capture_thread_traces<R>(&self, f: impl FnOnce() -> R) -> (R, Vec<TraceTree>) {
-        let key = Arc::as_ptr(&self.traces) as usize;
+        let key = self.trace_key();
         // Pop the frame even if `f` unwinds, so a caught panic in a test
         // cannot leave a stale capture scope on this thread.
         struct PopOnDrop(usize);
@@ -862,33 +832,23 @@ impl Registry {
     pub fn snapshot(&self) -> Snapshot {
         let trace_events = self.traces.lock().trees.clone();
         let tables = self.tables.lock();
+        let read = |m: &BTreeMap<String, Counter>| -> BTreeMap<String, u64> {
+            m.iter().map(|(k, v)| (k.clone(), v.get())).collect()
+        };
+        let histograms = |m: &BTreeMap<String, Histogram>| -> BTreeMap<String, HistogramSnapshot> {
+            m.iter().map(|(k, v)| (k.clone(), v.snapshot())).collect()
+        };
         Snapshot {
             trace_events,
-            counters: tables
-                .counters
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            scheduling: tables
-                .scheduling
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
+            counters: read(&tables.counters),
+            scheduling: read(&tables.scheduling),
             gauges: tables
                 .gauges
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
-            spans: tables
-                .spans
-                .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
-                .collect(),
-            values: tables
-                .values
-                .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
-                .collect(),
+            spans: histograms(&tables.spans),
+            values: histograms(&tables.values),
             windows: tables
                 .windows
                 .iter()
@@ -907,27 +867,21 @@ pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
 }
 
-/// Frozen state of one histogram.
+/// Frozen state of one histogram of any kind.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
+    /// The bounds table the buckets follow ([`BUCKET_BOUNDS_MICROS`] for
+    /// spans and windows, [`VALUE_BUCKET_BOUNDS`] for value histograms).
+    pub bounds: &'static [u64],
     pub count: u64,
-    pub sum_micros: u64,
-    pub max_micros: u64,
-    /// Parallel to [`BUCKET_BOUNDS_MICROS`], plus the overflow bucket last.
-    pub buckets: Vec<u64>,
-}
-
-/// Frozen state of one value histogram.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ValueHistogramSnapshot {
-    pub count: u64,
+    /// Sum of the recorded values (microseconds for durations).
     pub sum: u64,
     pub max: u64,
-    /// Parallel to [`VALUE_BUCKET_BOUNDS`], plus the overflow bucket last.
+    /// Parallel to `bounds`, plus the overflow bucket last.
     pub buckets: Vec<u64>,
 }
 
-impl ValueHistogramSnapshot {
+impl HistogramSnapshot {
     /// Mean recorded value, `0.0` when nothing was recorded.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -935,6 +889,26 @@ impl ValueHistogramSnapshot {
         } else {
             self.sum as f64 / self.count as f64
         }
+    }
+
+    /// The `pct`-th percentile estimated from the buckets: the upper bound
+    /// of the bucket holding the rank, clamped to the observed max (the
+    /// max itself for the overflow bucket, and 0 when nothing was
+    /// recorded). An upper-bound estimate — never below the true
+    /// percentile by more than one bucket's width.
+    fn percentile(&self, pct: u64) -> u64 {
+        if self.count == 0 {
+            return 0;
+        }
+        let rank = (self.count * pct).div_ceil(100).max(1);
+        let mut seen = 0;
+        for (i, n) in self.buckets.iter().enumerate() {
+            seen += n;
+            if seen >= rank {
+                return self.bounds.get(i).map_or(self.max, |&b| b.min(self.max));
+            }
+        }
+        self.max
     }
 }
 
@@ -949,7 +923,7 @@ pub struct Snapshot {
     pub gauges: BTreeMap<String, u64>,
     pub spans: BTreeMap<String, HistogramSnapshot>,
     /// Value histograms (scheduling class, like `scheduling`).
-    pub values: BTreeMap<String, ValueHistogramSnapshot>,
+    pub values: BTreeMap<String, HistogramSnapshot>,
     /// Windowed histograms summarized over their full window (scheduling
     /// class — wall-clock driven).
     pub windows: BTreeMap<String, WindowSummary>,
@@ -970,107 +944,44 @@ impl Snapshot {
         self.spans.get(stage).map(|h| h.count)
     }
 
+    /// Span counts by stage name.
+    fn span_counts(&self) -> BTreeMap<String, u64> {
+        self.spans
+            .iter()
+            .map(|(k, h)| (k.clone(), h.count))
+            .collect()
+    }
+
     /// Full trace JSON: deterministic counters/gauges, scheduling
-    /// counters, and span timing histograms. Keys are sorted and the
-    /// layout is fixed, so two traces diff line-by-line; see
-    /// `docs/trace-format.md` for the field-by-field reference.
+    /// counters, value histograms, windows, span timing histograms, and
+    /// trace trees. Keys are sorted and the layout is fixed, so two traces
+    /// diff line-by-line; see `docs/trace-format.md` for the field-by-field
+    /// reference.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n");
-        write_u64_section(&mut out, "counters", &self.counters, false);
-        write_u64_section(&mut out, "gauges", &self.gauges, false);
-        write_u64_section(&mut out, "scheduling", &self.scheduling, false);
-        out.push_str("  \"values\": {");
-        for (i, (name, h)) in self.values.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            push_json_string(&mut out, name);
-            out.push_str(": {\n");
-            out.push_str(&format!("      \"count\": {},\n", h.count));
-            out.push_str(&format!("      \"sum\": {},\n", h.sum));
-            out.push_str(&format!("      \"max\": {},\n", h.max));
-            out.push_str("      \"buckets_le\": {");
-            let mut first = true;
-            for (bound, n) in VALUE_BUCKET_BOUNDS
-                .iter()
-                .map(|b| b.to_string())
-                .chain(std::iter::once("inf".to_string()))
-                .zip(&h.buckets)
-            {
-                if *n == 0 {
-                    continue; // elide empty buckets, like the spans section
-                }
-                if !first {
-                    out.push_str(", ");
-                }
-                first = false;
-                push_json_string(&mut out, &bound);
-                out.push_str(&format!(": {n}"));
-            }
-            out.push_str("}\n    }");
-        }
-        if !self.values.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n");
-        out.push_str("  \"windows\": {");
-        for (i, (name, w)) in self.windows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            push_json_string(&mut out, name);
-            out.push_str(": {\n");
-            out.push_str(&format!("      \"window_secs\": {},\n", w.window_secs));
-            out.push_str(&format!("      \"count\": {},\n", w.count));
-            out.push_str(&format!("      \"sum_micros\": {},\n", w.sum_micros));
-            out.push_str(&format!("      \"max_micros\": {},\n", w.max_micros));
-            out.push_str(&format!("      \"rps_x1000\": {},\n", w.rps_x1000));
-            out.push_str(&format!("      \"p50_micros\": {},\n", w.p50_micros));
-            out.push_str(&format!("      \"p95_micros\": {},\n", w.p95_micros));
-            out.push_str(&format!("      \"p99_micros\": {}\n    }}", w.p99_micros));
-        }
-        if !self.windows.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n");
-        out.push_str("  \"spans\": {");
-        for (i, (name, h)) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            push_json_string(&mut out, name);
-            out.push_str(": {\n");
-            out.push_str(&format!("      \"count\": {},\n", h.count));
-            out.push_str(&format!("      \"sum_micros\": {},\n", h.sum_micros));
-            out.push_str(&format!("      \"max_micros\": {},\n", h.max_micros));
-            out.push_str("      \"buckets_le_micros\": {");
-            let mut first = true;
-            for (bound, n) in BUCKET_BOUNDS_MICROS
-                .iter()
-                .map(|b| b.to_string())
-                .chain(std::iter::once("inf".to_string()))
-                .zip(&h.buckets)
-            {
-                if *n == 0 {
-                    continue; // elide empty buckets: shorter, still stable
-                }
-                if !first {
-                    out.push_str(", ");
-                }
-                first = false;
-                push_json_string(&mut out, &bound);
-                out.push_str(&format!(": {n}"));
-            }
-            out.push_str("}\n    }");
-        }
-        if !self.spans.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n");
+        write_section(&mut out, "counters", &self.counters, false, push_u64);
+        write_section(&mut out, "gauges", &self.gauges, false, push_u64);
+        write_section(&mut out, "scheduling", &self.scheduling, false, push_u64);
+        write_section(&mut out, "values", &self.values, false, |out, h| {
+            push_histogram(out, h, ["sum", "max", "buckets_le"])
+        });
+        write_section(&mut out, "windows", &self.windows, false, |out, w| {
+            let fields = [
+                ("window_secs", w.window_secs),
+                ("count", w.count),
+                ("sum_micros", w.sum_micros),
+                ("max_micros", w.max_micros),
+                ("rps_x1000", w.rps_x1000),
+                ("p50_micros", w.p50_micros),
+                ("p95_micros", w.p95_micros),
+                ("p99_micros", w.p99_micros),
+            ];
+            push_fields(out, &fields.map(|(k, v)| (k, v.to_string())));
+        });
+        write_section(&mut out, "spans", &self.spans, false, |out, h| {
+            push_histogram(out, h, ["sum_micros", "max_micros", "buckets_le_micros"])
+        });
         out.push_str("  \"trace_events\": [");
         for (i, tree) in self.trace_events.iter().enumerate() {
             if i > 0 {
@@ -1109,16 +1020,11 @@ impl Snapshot {
     /// same seeds and thread count must produce identical output —
     /// `tests/obs_determinism.rs` asserts exactly that.
     pub fn deterministic_json(&self) -> String {
-        let span_counts: BTreeMap<String, u64> = self
-            .spans
-            .iter()
-            .map(|(k, h)| (k.clone(), h.count))
-            .collect();
         let mut out = String::with_capacity(1024);
         out.push_str("{\n");
-        write_u64_section(&mut out, "counters", &self.counters, false);
-        write_u64_section(&mut out, "gauges", &self.gauges, false);
-        write_u64_section(&mut out, "span_counts", &span_counts, true);
+        write_section(&mut out, "counters", &self.counters, false, push_u64);
+        write_section(&mut out, "gauges", &self.gauges, false, push_u64);
+        write_section(&mut out, "span_counts", &self.span_counts(), true, push_u64);
         out.push_str("}\n");
         out
     }
@@ -1144,13 +1050,10 @@ impl Snapshot {
                 })
                 .collect()
         }
-        let span_counts = |s: &Snapshot| -> BTreeMap<String, u64> {
-            s.spans.iter().map(|(k, h)| (k.clone(), h.count)).collect()
-        };
         SnapshotDelta {
             counters: diff(&self.counters, &earlier.counters),
             scheduling: diff(&self.scheduling, &earlier.scheduling),
-            span_counts: diff(&span_counts(self), &span_counts(earlier)),
+            span_counts: diff(&self.span_counts(), &earlier.span_counts()),
         }
     }
 }
@@ -1173,7 +1076,16 @@ impl SnapshotDelta {
     }
 }
 
-fn write_u64_section(out: &mut String, name: &str, map: &BTreeMap<String, u64>, last: bool) {
+/// Write one top-level JSON object section: `"name": {` then one
+/// `"key": <value>` line per map entry in key order, the value written by
+/// `value`, then `}` (with a trailing comma unless `last`).
+fn write_section<V>(
+    out: &mut String,
+    name: &str,
+    map: &BTreeMap<String, V>,
+    last: bool,
+    mut value: impl FnMut(&mut String, &V),
+) {
     out.push_str("  ");
     push_json_string(out, name);
     out.push_str(": {");
@@ -1183,7 +1095,8 @@ fn write_u64_section(out: &mut String, name: &str, map: &BTreeMap<String, u64>, 
         }
         out.push_str("\n    ");
         push_json_string(out, k);
-        out.push_str(&format!(": {v}"));
+        out.push_str(": ");
+        value(out, v);
     }
     if !map.is_empty() {
         out.push_str("\n  ");
@@ -1193,6 +1106,48 @@ fn write_u64_section(out: &mut String, name: &str, map: &BTreeMap<String, u64>, 
         out.push(',');
     }
     out.push('\n');
+}
+
+fn push_u64(out: &mut String, v: &u64) {
+    out.push_str(&v.to_string());
+}
+
+/// One histogram entry of the `spans` or `values` section; `keys` names
+/// the sum, max and bucket fields, which differ between the two.
+fn push_histogram(out: &mut String, h: &HistogramSnapshot, keys: [&str; 3]) {
+    let [sum, max, buckets] = keys;
+    let labels = h.bounds.iter().map(|b| b.to_string());
+    let mut le = String::from("{");
+    // Empty buckets are elided: shorter, still stable.
+    for (bound, n) in labels.chain(["inf".to_string()]).zip(&h.buckets) {
+        if *n > 0 {
+            if le.len() > 1 {
+                le.push_str(", ");
+            }
+            push_json_string(&mut le, &bound);
+            le.push_str(&format!(": {n}"));
+        }
+    }
+    le.push('}');
+    let fields = [
+        ("count", h.count.to_string()),
+        (sum, h.sum.to_string()),
+        (max, h.max.to_string()),
+        (buckets, le),
+    ];
+    push_fields(out, &fields);
+}
+
+/// A section entry's object body: one `"key": value` line per field.
+fn push_fields(out: &mut String, fields: &[(&str, String)]) {
+    out.push('{');
+    for (i, (k, v)) in fields.iter().enumerate() {
+        out.push_str(if i > 0 { ",\n      " } else { "\n      " });
+        push_json_string(out, k);
+        out.push_str(": ");
+        out.push_str(v);
+    }
+    out.push_str("\n    }");
 }
 
 fn push_json_string(out: &mut String, s: &str) {
@@ -1231,8 +1186,8 @@ pub fn export_trace_if_requested() -> std::io::Result<Option<std::path::PathBuf>
 /// Turn on per-query trace-event recording on the [`global`] registry when
 /// `NLI_TRACE` names a path. Binaries that end with
 /// [`export_trace_if_requested`] call this first, so a traced run's export
-/// carries a populated `trace_events` section; untraced runs keep
-/// [`Registry::trace_span`] at its one-atomic-load cost.
+/// carries a populated `trace_events` section; untraced runs keep a span's
+/// trace side at its one-atomic-load cost.
 pub fn enable_trace_events_from_env() {
     let enabled = std::env::var("NLI_TRACE").is_ok_and(|p| !p.trim().is_empty());
     if enabled {
@@ -1292,8 +1247,8 @@ mod tests {
         assert_eq!(s.buckets[BUCKET_BOUNDS_MICROS.len() - 1], 1);
         assert_eq!(s.buckets[BUCKET_BOUNDS_MICROS.len()], 1, "overflow");
         assert_eq!(s.count, 6);
-        assert_eq!(s.sum_micros, 20_000_007);
-        assert_eq!(s.max_micros, 10_000_001);
+        assert_eq!(s.sum, 20_000_007);
+        assert_eq!(s.max, 10_000_001);
     }
 
     #[test]
@@ -1355,9 +1310,14 @@ mod tests {
             let _guard = reg.span("stage");
         }
         {
-            let _guard = reg.span_histogram("stage").time();
+            let _guard = reg.stage("stage").enter();
         }
         assert_eq!(reg.snapshot().span_count("stage"), Some(2));
+        // With tracing on, one measurement feeds histogram and event.
+        reg.set_trace_events(true);
+        let micros = reg.span("once").finish();
+        assert_eq!(reg.drain_trace_trees()[0].root().micros, micros);
+        assert_eq!(reg.snapshot().spans["once"].sum, micros);
     }
 
     #[test]
@@ -1385,24 +1345,88 @@ mod tests {
 
     #[test]
     fn json_shape_is_stable() {
+        // The full layout of every section, byte for byte.
         let reg = Registry::new();
-        reg.counter("c.one").add(7);
-        reg.gauge("g.workers").set(4);
-        reg.span_histogram("s").record(3);
-        let json = reg.snapshot().to_json();
-        assert!(
-            json.contains("\"counters\": {\n    \"c.one\": 7\n  }"),
-            "{json}"
-        );
-        assert!(json.contains("\"g.workers\": 4"), "{json}");
-        assert!(json.contains("\"sum_micros\": 3"), "{json}");
-        assert!(json.contains("\"buckets_le_micros\": {\"5\": 1}"), "{json}");
+        reg.counter("c").add(2);
+        reg.gauge("g").set(3);
+        reg.scheduling_counter("s").inc();
+        reg.value_histogram("v").record(3);
+        reg.value_histogram("v").record(5_000);
+        reg.windowed_histogram("w").record(40);
+        reg.span_histogram("p").record(7);
+        reg.span_histogram("p").record(2_000);
+        reg.span_histogram("q");
+        let mut snap = reg.snapshot();
+        let ev = |id, parent, label: &str| TraceEvent {
+            id,
+            parent,
+            label: label.to_string(),
+            micros: 9,
+        };
+        let trees = [
+            vec![ev(0, None, "a"), ev(1, Some(0), "b")],
+            vec![ev(0, None, "c")],
+        ];
+        snap.trace_events = trees.map(|events| TraceTree { events }).to_vec();
+        let json = r#"{
+  "counters": {
+    "c": 2
+  },
+  "gauges": {
+    "g": 3
+  },
+  "scheduling": {
+    "s": 1
+  },
+  "values": {
+    "v": {
+      "count": 2,
+      "sum": 5003,
+      "max": 5000,
+      "buckets_le": {"4": 1, "inf": 1}
+    }
+  },
+  "windows": {
+    "w": {
+      "window_secs": 60,
+      "count": 1,
+      "sum_micros": 40,
+      "max_micros": 40,
+      "rps_x1000": 16,
+      "p50_micros": 40,
+      "p95_micros": 40,
+      "p99_micros": 40
+    }
+  },
+  "spans": {
+    "p": {
+      "count": 2,
+      "sum_micros": 2007,
+      "max_micros": 2000,
+      "buckets_le_micros": {"10": 1, "2500": 1}
+    },
+    "q": {
+      "count": 0,
+      "sum_micros": 0,
+      "max_micros": 0,
+      "buckets_le_micros": {}
+    }
+  },
+  "trace_events": [
+    {"events": [
+      {"id": 0, "parent": null, "label": "a", "micros": 9},
+      {"id": 1, "parent": 0, "label": "b", "micros": 9}
+    ]},
+    {"events": [
+      {"id": 0, "parent": null, "label": "c", "micros": 9}
+    ]}
+  ]
+}
+"#;
+        assert_eq!(snap.to_json(), json);
         // deterministic view strips durations but keeps the count
-        let det = reg.snapshot().deterministic_json();
-        assert!(
-            det.contains("\"span_counts\": {\n    \"s\": 1\n  }"),
-            "{det}"
-        );
+        let det = snap.deterministic_json();
+        assert!(det.contains("\"span_counts\": {\n    \"p\": 2,\n    \"q\": 0\n  }\n}\n"));
         assert!(!det.contains("sum_micros"), "{det}");
     }
 
@@ -1428,13 +1452,13 @@ mod tests {
         let reg = Registry::new();
         reg.set_trace_events(true);
         {
-            let _root = reg.trace_span("query");
+            let _root = reg.span("query");
             {
-                let _parse = reg.trace_span("parse");
+                let _parse = reg.span("parse");
             }
             {
-                let _exec = reg.trace_span("execute");
-                let _scan = reg.trace_span("scan");
+                let _exec = reg.span("execute");
+                let _scan = reg.span("scan");
             }
         }
         let trees = reg.drain_trace_trees();
@@ -1469,7 +1493,7 @@ mod tests {
     fn trace_span_is_inert_when_disabled() {
         let reg = Registry::new();
         {
-            let _g = reg.trace_span("never.recorded");
+            let _g = reg.span("never.recorded");
         }
         assert!(reg.drain_trace_trees().is_empty());
         assert!(!reg.trace_events_enabled());
@@ -1482,15 +1506,27 @@ mod tests {
         let reg = Registry::new();
         reg.set_trace_events(true);
         {
-            let _a = reg.trace_span("a");
+            let _a = reg.span("a");
         }
         {
-            let _b = reg.trace_span("b");
+            let _b = reg.span("b");
         }
-        let trees = reg.drain_trace_trees();
-        assert_eq!(trees.len(), 2);
-        assert_eq!(trees[0].root().label, "a");
-        assert_eq!(trees[1].root().label, "b");
+        // A detached span (a par item) roots its own tree even while
+        // another span is open; the outer tree resumes afterwards.
+        {
+            let _outer = reg.span("outer");
+            detach_trace(|| {
+                let _item = reg.span("item");
+                let _child = reg.span("child");
+            });
+            let _after = reg.span("after");
+        }
+        let trees: Vec<String> = reg
+            .drain_trace_trees()
+            .iter()
+            .map(|t| t.render(false))
+            .collect();
+        assert_eq!(trees, ["a\n", "b\n", "item\n  child\n", "outer\n  after\n"]);
     }
 
     #[test]
@@ -1500,9 +1536,9 @@ mod tests {
         a.set_trace_events(true);
         b.set_trace_events(true);
         {
-            let _outer = a.trace_span("a.outer");
-            let _other = b.trace_span("b.root");
-            let _inner = a.trace_span("a.inner");
+            let _outer = a.span("a.outer");
+            let _other = b.span("b.root");
+            let _inner = a.span("a.inner");
         }
         let ta = a.drain_trace_trees();
         let tb = b.drain_trace_trees();
@@ -1528,8 +1564,8 @@ mod tests {
             for i in 0..4 {
                 let reg = reg.clone();
                 s.spawn(move || {
-                    let _root = reg.trace_span(&format!("thread.{i}"));
-                    let _child = reg.trace_span("work");
+                    let _root = reg.span(&format!("thread.{i}"));
+                    let _child = reg.span("work");
                 });
             }
         });
@@ -1546,8 +1582,8 @@ mod tests {
         let reg = Registry::new();
         reg.set_trace_events(true);
         {
-            let _root = reg.trace_span("q");
-            let _inner = reg.trace_span("s");
+            let _root = reg.span("q");
+            let _inner = reg.span("s");
         }
         let snap = reg.snapshot();
         assert_eq!(snap.trace_events.len(), 1);
@@ -1671,8 +1707,8 @@ mod tests {
         let reg = Registry::new();
         assert!(!reg.trace_events_enabled());
         let ((), trees) = reg.capture_thread_traces(|| {
-            let _root = reg.trace_span("profile");
-            let _inner = reg.trace_span("scan");
+            let _root = reg.span("profile");
+            let _inner = reg.span("scan");
         });
         assert_eq!(trees.len(), 1);
         assert_eq!(trees[0].render(false), "profile\n  scan\n");
@@ -1682,7 +1718,7 @@ mod tests {
         );
         // Outside the scope, disabled means inert again.
         {
-            let _g = reg.trace_span("after");
+            let _g = reg.span("after");
         }
         assert!(reg.drain_trace_trees().is_empty());
     }
@@ -1692,16 +1728,16 @@ mod tests {
         let reg = Registry::new();
         reg.set_trace_events(true);
         {
-            let _before = reg.trace_span("before");
+            let _before = reg.span("before");
         }
         let ((), trees) = reg.capture_thread_traces(|| {
-            let _mine = reg.trace_span("mine");
+            let _mine = reg.span("mine");
             drop(_mine);
             // Another thread's tree goes to the registry as usual.
             std::thread::scope(|s| {
                 let reg = reg.clone();
                 s.spawn(move || {
-                    let _other = reg.trace_span("other.thread");
+                    let _other = reg.span("other.thread");
                 });
             });
         });
@@ -1720,7 +1756,7 @@ mod tests {
         let reg = Registry::new();
         reg.set_trace_events(true);
         for _ in 0..MAX_TRACE_TREES + 3 {
-            let _g = reg.trace_span("t");
+            let _g = reg.span("t");
         }
         let trees = reg.drain_trace_trees();
         assert_eq!(trees.len(), MAX_TRACE_TREES);
@@ -1728,5 +1764,21 @@ mod tests {
             reg.snapshot().scheduling.get("obs.trace_trees_dropped"),
             Some(&3)
         );
+    }
+
+    #[test]
+    fn windowed_stage_records_identical_count_and_sum_into_histogram_and_window() {
+        let reg = Registry::new();
+        let stage = reg.windowed_stage("req");
+        for _ in 0..3 {
+            let _s = stage.enter();
+            std::hint::black_box((0..1_000u64).sum::<u64>());
+        }
+        drop(reg.span("req")); // a later resolution shares the window
+        let snap = reg.snapshot();
+        let (hist, window) = (&snap.spans["req"], &snap.windows["req.window"]);
+        assert_eq!((window.count, window.sum_micros), (hist.count, hist.sum));
+        assert_eq!((hist.count, window.max_micros), (4, hist.max));
+        assert!(reg.stage("plain").window().is_none());
     }
 }

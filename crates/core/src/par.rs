@@ -145,6 +145,9 @@ where
 {
     let n = items.len();
     let threads = threads.clamp(1, n.max(1)).min(MAX_THREADS);
+    // Every item starts a fresh trace tree, inline or on a worker, so
+    // tree shapes do not depend on the worker count.
+    let f = |i: usize, t: &T| obs::detach_trace(|| f(i, t));
     if threads <= 1 || n <= 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }

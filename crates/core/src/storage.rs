@@ -1530,9 +1530,15 @@ mod tests {
         db
     }
 
+    /// A fresh directory unique to this call (pid + sequence number +
+    /// name), so concurrently running tests never share a store.
     fn tmp_dir(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("nli_storage_test_{}_{name}", std::process::id()));
+        static SEQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!(
+            "nli_storage_test_{}_{n}_{name}",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }

@@ -42,16 +42,22 @@ pub use oracle::{
 };
 pub use rewrite::{apply_rule, CompareMode, Rewrite, Rule};
 
-use nli_core::obs::{global, Counter, Histogram};
+use nli_core::obs::{global, Counter, Stage};
 use std::sync::OnceLock;
 
-/// Cached handles for the fuzzing counters/spans (`fuzz.*` namespace).
+/// Cached handles for the fuzzing counters and stages (`fuzz.*`
+/// namespace).
 pub(crate) struct FuzzObs {
     pub cases: Counter,
     pub violations: Counter,
     pub rewrites: Counter,
     pub shrink_steps: Counter,
-    pub case_span: Histogram,
+    pub case: Stage,
+    pub dml_case: Stage,
+    pub leg_interp: Stage,
+    pub leg_plan: Stage,
+    pub leg_reparse: Stage,
+    pub leg_metamorphic: Stage,
 }
 
 pub(crate) fn fuzz_obs() -> &'static FuzzObs {
@@ -63,7 +69,12 @@ pub(crate) fn fuzz_obs() -> &'static FuzzObs {
             violations: r.counter("fuzz.oracle_violations"),
             rewrites: r.counter("fuzz.rewrites_checked"),
             shrink_steps: r.counter("fuzz.shrink_steps"),
-            case_span: r.span_histogram("fuzz.case"),
+            case: r.stage("fuzz.case"),
+            dml_case: r.stage("fuzz.dml_case"),
+            leg_interp: r.stage("fuzz.leg.interp"),
+            leg_plan: r.stage("fuzz.leg.plan"),
+            leg_reparse: r.stage("fuzz.leg.reparse"),
+            leg_metamorphic: r.stage("fuzz.leg.metamorphic"),
         }
     })
 }

@@ -82,13 +82,12 @@ fn outcome_text(r: &Result<ResultSet, nli_core::NliError>) -> String {
 /// Run the full oracle battery for one generated case.
 pub fn check_case(index: u64, q: &Query, db: &Database, engine: &SqlEngine) -> CaseReport {
     let obs = fuzz_obs();
-    let _trace = nli_core::obs::global().trace_span("fuzz.case");
-    let _span = obs.case_span.time();
+    let _span = obs.case.enter();
     obs.cases.inc();
 
     let mut violations = Vec::new();
     let interp = {
-        let _leg = nli_core::obs::global().trace_span("fuzz.leg.interp");
+        let _leg = obs.leg_interp.enter();
         run_tree_walk(q, db)
     };
     violations.extend(check_differential(index, q, db, engine, &interp));
@@ -131,11 +130,11 @@ pub fn check_differential(
     // table statistics and the fuzz corpus exercises cost-based join
     // ordering and strategy choice, not just the rule-based defaults.
     let planned = {
-        let _leg = nli_core::obs::global().trace_span("fuzz.leg.plan");
+        let _leg = obs.leg_plan.enter();
         engine.prepare_ast_on(q, db).and_then(|p| p.execute(db))
     };
     let reparsed = {
-        let _leg = nli_core::obs::global().trace_span("fuzz.leg.reparse");
+        let _leg = obs.leg_reparse.enter();
         parse_query(&sql)
             .and_then(|q2| SqlEngine::new().prepare_ast(&q2, &db.schema))
             .and_then(|p| p.execute(db))
@@ -190,7 +189,7 @@ pub fn check_metamorphic(
     base: &ResultSet,
 ) -> Option<Violation> {
     let rw = apply_rule(rule, q, &db.schema, salt)?;
-    let _leg = nli_core::obs::global().trace_span("fuzz.leg.metamorphic");
+    let _leg = fuzz_obs().leg_metamorphic.enter();
     let rewritten_result = engine
         .prepare_ast(&rw.rewritten, &db.schema)
         .and_then(|p| p.execute(db));
@@ -236,7 +235,7 @@ pub fn check_dml_case(
     scratch: &Path,
 ) -> CaseReport {
     let obs = fuzz_obs();
-    let _trace = nli_core::obs::global().trace_span("fuzz.dml_case");
+    let _span = obs.dml_case.enter();
     obs.cases.inc();
 
     let mut violations = Vec::new();

@@ -73,16 +73,16 @@ pub fn evaluate_sql(
     // parsing once for everyone.
     let engine = SqlEngine::new();
     let registry = obs::global();
-    let _timing = registry.span("eval.sql");
+    let _span = registry.span("eval.sql");
+    let example = registry.stage("eval.sql.example");
     registry.counter("eval.sql.runs").inc();
     registry
         .counter("eval.sql.examples")
         .add(bench.dev.len() as u64);
     let start = Instant::now();
     let rows = par::par_map(&bench.dev, |_, ex| {
-        // Per-example trace trees (never a per-run root): the tree shape
-        // stays identical whether examples run inline or on workers.
-        let _trace = obs::global().trace_span("eval.sql.example");
+        // Each example is its own trace tree (par items start fresh ones).
+        let _span = example.enter();
         let db = bench.db_of(ex);
         let gold = ex.gold.to_string();
         match parser.parse(&ex.question, db) {
@@ -155,14 +155,15 @@ pub fn evaluate_vis(
     bench: &VisBenchmark,
 ) -> VisScores {
     let registry = obs::global();
-    let _timing = registry.span("eval.vis");
+    let _span = registry.span("eval.vis");
+    let example = registry.stage("eval.vis.example");
     registry.counter("eval.vis.runs").inc();
     registry
         .counter("eval.vis.examples")
         .add(bench.dev.len() as u64);
     let start = Instant::now();
     let rows = par::par_map(&bench.dev, |_, ex| {
-        let _trace = obs::global().trace_span("eval.vis.example");
+        let _span = example.enter();
         let db = bench.db_of(ex);
         match parser.parse(&ex.question, db) {
             Ok(pred) => (

@@ -119,7 +119,7 @@ pub fn test_suite_match_with(
     suite: &TestSuite,
 ) -> bool {
     let registry = nli_core::obs::global();
-    let _timing = registry.span("eval.test_suite_match");
+    let _span = registry.span("eval.test_suite_match");
     registry.counter("eval.test_suite.calls").inc();
     registry
         .counter("eval.test_suite.variants")

@@ -202,7 +202,6 @@ fn worker_loop(state: &BatchState) {
         registry
             .value_histogram("server.batch_size")
             .record(batch.len() as u64);
-        let _trace = registry.trace_span("server.batch");
         let (lines, plan_was_cached) = execute(state, &batch[0].sql);
         let lines = Arc::new(lines);
         for job in batch {

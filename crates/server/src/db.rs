@@ -172,11 +172,19 @@ mod tests {
         assert_eq!(h.snapshot().rows(0).len(), 3, "nothing mutated");
     }
 
+    /// A fresh directory unique to this call (pid + sequence number), so
+    /// concurrently running tests never share a store.
+    fn temp_dir() -> std::path::PathBuf {
+        static SEQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("nli-dbhandle-{}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
     #[test]
     fn durable_handle_publishes_snapshots_after_commit() {
-        let dir =
-            std::env::temp_dir().join(format!("nli-dbhandle-{}-{}", std::process::id(), line!()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir();
         let h = DbHandle::durable(Store::create(&dir, tiny_db()).unwrap());
         let engine = SqlEngine::new();
         let before = h.snapshot();
@@ -196,9 +204,7 @@ mod tests {
 
     #[test]
     fn metered_dml_charges_wal_bytes_per_commit() {
-        let dir =
-            std::env::temp_dir().join(format!("nli-dbhandle-{}-{}", std::process::id(), line!()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir();
         let h = DbHandle::durable(Store::create(&dir, tiny_db()).unwrap());
         let engine = SqlEngine::new();
         let r1 = h

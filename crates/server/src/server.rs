@@ -33,7 +33,7 @@ use crate::batch::{BatchQueue, Batcher, ExecGate};
 use crate::db::{is_dml_text, DbHandle};
 use crate::proto::{self, ErrorCode, Frame, ProtoError};
 use crate::slowlog::SlowLog;
-use nli_core::obs::{WindowedHistogram, WINDOW_SLOTS};
+use nli_core::obs::{Stage, WINDOW_SLOTS};
 use nli_core::{Database, NlQuestion, Store};
 use nli_systems::{ParSessionPool, Tenant, TenantStats};
 use std::io::{ErrorKind, Read, Write};
@@ -41,7 +41,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Everything a server needs to start. `ServerConfig::new` picks the
 /// defaults the capacity runbook documents; tests override freely.
@@ -173,9 +173,10 @@ struct Shared {
     slowlog: Arc<SlowLog>,
     admin_tenant: String,
     slo_micros: u64,
-    /// Rolling request-latency window (`server.request.window` in the
-    /// registry); every admitted request records its duration here.
-    win: WindowedHistogram,
+    /// The `server.request` stage: one span per admitted request feeds
+    /// its histogram, its trace tree, and the rolling latency window
+    /// `server.request.window` that `STATS` reports.
+    request: Stage,
 }
 
 /// Open (or create, seeded from `config.db`) the durable store when a
@@ -222,7 +223,7 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         slowlog: Arc::clone(&slowlog),
         admin_tenant: config.admin_tenant.clone(),
         slo_micros: config.slo_micros,
-        win: nli_core::obs::global().windowed_histogram("server.request.window"),
+        request: nli_core::obs::global().windowed_stage("server.request"),
     });
     let accept_conns = Arc::clone(&conns);
     let accept_thread = std::thread::Builder::new()
@@ -561,7 +562,7 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
                     }
                     Frame::Ask(_) | Frame::Sql(_) | Frame::Exec(_) => {
                         let stats = Arc::clone(tenant.stats());
-                        let Some(_permit) = shared.admission.try_acquire() else {
+                        let Some(permit) = shared.admission.try_acquire() else {
                             registry.scheduling_counter("server.rejected_busy").inc();
                             stats.busy_rejections.inc();
                             let _ = write_line(
@@ -571,8 +572,7 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
                             state = ConnState::Ready(tid, tenant);
                             continue;
                         };
-                        let started = Instant::now();
-                        let _span = registry.span("server.request");
+                        let span = shared.request.enter();
                         stats.requests.inc();
                         // Besides the response, keep what the slow-log
                         // needs: the verb, the statement text, and (when
@@ -581,7 +581,6 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
                             Frame::Ask(question) => {
                                 registry.counter("server.requests.ask").inc();
                                 stats.asks.inc();
-                                let _trace = registry.trace_span("server.request");
                                 match tenant.ask(&NlQuestion::new(&question), &shared.db.snapshot())
                                 {
                                     Ok(resp) => {
@@ -598,7 +597,6 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
                             Frame::Sql(sql) if is_dml_text(&sql) => {
                                 registry.counter("server.requests.dml").inc();
                                 stats.dmls.inc();
-                                let _trace = registry.trace_span("server.request");
                                 let lines =
                                     match shared.db.execute_dml_metered(shared.pool.engine(), &sql)
                                     {
@@ -637,12 +635,18 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
                             _ => unreachable!("outer match covers the rest"),
                         };
                         account_response(&stats, &lines);
-                        let micros = started.elapsed().as_micros() as u64;
-                        shared.win.record(micros);
+                        // Free the permit before the response goes out, so
+                        // a client holding its answer never races the
+                        // release.
+                        drop(permit);
+                        let _ = write_lines(&mut writer, &lines);
+                        // One duration, admission to response written,
+                        // for the histogram, trace, window, SLO and slow
+                        // log alike.
+                        let micros = span.finish();
                         if micros > shared.slo_micros {
                             registry.scheduling_counter("server.slo_breaches").inc();
                         }
-                        let _ = write_lines(&mut writer, &lines);
                         // Slow capture happens *after* the response went
                         // out: the profiling re-run costs the operator,
                         // never the waiting client.
@@ -712,7 +716,11 @@ fn server_stats(shared: &Shared) -> Vec<String> {
             .to_string()
     };
     let cache = shared.pool.engine().cache_stats();
-    let win = shared.win.summary(WINDOW_SLOTS as u64);
+    let win = shared
+        .request
+        .window()
+        .expect("server.request is a windowed stage")
+        .summary(WINDOW_SLOTS as u64);
     let ids = shared.pool.tenant_ids();
     let tenants = if ids.is_empty() {
         "-".to_string()

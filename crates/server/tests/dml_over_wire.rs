@@ -6,6 +6,7 @@
 use nli_core::{Column, DataType, Database, Schema, Table};
 use nli_server::{start, validate_server_line, Client, ServerConfig, ServerHandle};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn shop_db() -> Arc<Database> {
@@ -33,8 +34,12 @@ fn shop_db() -> Arc<Database> {
     Arc::new(d)
 }
 
+/// A fresh directory unique to this call: tests in one process share the
+/// pid, so the name also carries a process-wide sequence number.
 fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("nli-server-dml-{}-{tag}", std::process::id()));
+    static SEQ: AtomicUsize = AtomicUsize::new(0);
+    let n = SEQ.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("nli-server-dml-{}-{n}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

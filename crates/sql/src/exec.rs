@@ -36,28 +36,32 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// Cached span histograms for the pipeline stages (DESIGN.md §3.3):
-/// `sql.parse` and `sql.plan` are timed inside the plan-cache build
-/// closure, so they fire once per cache miss; `sql.execute` fires on every
-/// [`PreparedSql::execute`] and `sql.explain_analyze` on every instrumented
-/// run. Handles are resolved once — the per-call cost is two `Instant`
-/// reads and a few relaxed atomic adds.
-struct SqlObs {
-    parse: obs::Histogram,
-    plan: obs::Histogram,
-    execute: obs::Histogram,
-    explain_analyze: obs::Histogram,
+/// Stage handles for the pipeline stages (DESIGN.md §3.3), resolved
+/// once: `sql.parse` and `sql.plan` are entered inside the plan-cache
+/// build closure, so they fire once per cache miss; `sql.execute` fires on
+/// every [`PreparedSql::execute`], `sql.explain_analyze` on every
+/// instrumented run, `sql.dml` on every DML op computation, and
+/// `sql.vectorize` on every select block the columnar executor runs.
+pub(crate) struct SqlObs {
+    parse: obs::Stage,
+    plan: obs::Stage,
+    execute: obs::Stage,
+    explain_analyze: obs::Stage,
+    dml: obs::Stage,
+    pub(crate) vectorize: obs::Stage,
 }
 
-fn sql_obs() -> &'static SqlObs {
+pub(crate) fn sql_obs() -> &'static SqlObs {
     static OBS: OnceLock<SqlObs> = OnceLock::new();
     OBS.get_or_init(|| {
         let r = obs::global();
         SqlObs {
-            parse: r.span_histogram("sql.parse"),
-            plan: r.span_histogram("sql.plan"),
-            execute: r.span_histogram("sql.execute"),
-            explain_analyze: r.span_histogram("sql.explain_analyze"),
+            parse: r.stage("sql.parse"),
+            plan: r.stage("sql.plan"),
+            execute: r.stage("sql.execute"),
+            explain_analyze: r.stage("sql.explain_analyze"),
+            dml: r.stage("sql.dml"),
+            vectorize: r.stage("sql.vectorize"),
         }
     })
 }
@@ -199,8 +203,7 @@ impl PreparedSql {
     /// engine reports rather than silently mis-resolving columns.
     pub fn execute(&self, db: &Database) -> Result<ResultSet> {
         self.check_fingerprint(db)?;
-        let _span = obs::global().trace_span("sql.execute");
-        let _timing = sql_obs().execute.time();
+        let _span = sql_obs().execute.enter();
         exec_plan(&self.plan, db)
     }
 
@@ -217,8 +220,7 @@ impl PreparedSql {
     /// deterministic; wall-clock timings are not.
     pub fn explain_analyze(&self, db: &Database) -> Result<AnalyzedSql> {
         self.check_fingerprint(db)?;
-        let _span = obs::global().trace_span("sql.explain_analyze");
-        let _timing = sql_obs().explain_analyze.time();
+        let _span = sql_obs().explain_analyze.enter();
         let mut profile = PlanProfile::default();
         let result = exec_plan_profiled(&self.plan, db, Some(&mut profile))?;
         Ok(AnalyzedSql {
@@ -327,12 +329,10 @@ impl SqlEngine {
         let plan = self.cache.get_or_insert(sql, fingerprint, 0, || {
             self.parses.fetch_add(1, AtomicOrdering::Relaxed);
             let q = {
-                let _span = obs::global().trace_span("sql.parse");
-                let _timing = sql_obs().parse.time();
+                let _span = sql_obs().parse.enter();
                 crate::parser::parse_query(sql)?
             };
-            let _span = obs::global().trace_span("sql.plan");
-            let _timing = sql_obs().plan.time();
+            let _span = sql_obs().plan.enter();
             plan_query(&q, schema)
         })?;
         Ok(PreparedSql { plan, fingerprint })
@@ -353,8 +353,7 @@ impl SqlEngine {
         let fingerprint = schema.fingerprint();
         let key = q.to_string();
         let plan = self.cache.get_or_insert(&key, fingerprint, 0, || {
-            let _span = obs::global().trace_span("sql.plan");
-            let _timing = sql_obs().plan.time();
+            let _span = sql_obs().plan.enter();
             plan_query(q, schema)
         })?;
         Ok(PreparedSql { plan, fingerprint })
@@ -372,12 +371,10 @@ impl SqlEngine {
         let plan = self.cache.get_or_insert(&key, fingerprint, epoch, || {
             self.parses.fetch_add(1, AtomicOrdering::Relaxed);
             let q = {
-                let _span = obs::global().trace_span("sql.parse");
-                let _timing = sql_obs().parse.time();
+                let _span = sql_obs().parse.enter();
                 crate::parser::parse_query(sql)?
             };
-            let _span = obs::global().trace_span("sql.plan");
-            let _timing = sql_obs().plan.time();
+            let _span = sql_obs().plan.enter();
             plan_query_with_stats_opts(&q, &db.schema, &db.stats(), &opts)
         })?;
         Ok(PreparedSql { plan, fingerprint })
@@ -392,8 +389,7 @@ impl SqlEngine {
         let opts = self.index_options(db);
         let key = Self::cost_key(&q.to_string(), opts.auto).into_owned();
         let plan = self.cache.get_or_insert(&key, fingerprint, epoch, || {
-            let _span = obs::global().trace_span("sql.plan");
-            let _timing = sql_obs().plan.time();
+            let _span = sql_obs().plan.enter();
             plan_query_with_stats_opts(q, &db.schema, &db.stats(), &opts)
         })?;
         Ok(PreparedSql { plan, fingerprint })
@@ -413,7 +409,7 @@ impl SqlEngine {
     /// apply it directly ([`Database::apply_op`]) or journal it first
     /// (`nli_core::Store::commit`).
     pub fn compute_dml_op(&self, stmt: &Statement, db: &Database) -> Result<DmlOp> {
-        let _span = obs::global().trace_span("sql.dml");
+        let _span = sql_obs().dml.enter();
         let opts = self.index_options(db);
         let plan = plan_dml_with_stats_opts(stmt, &db.schema, &db.stats(), &opts)?;
         crate::vexec::compute_dml(&plan, db)

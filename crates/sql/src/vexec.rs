@@ -1229,14 +1229,14 @@ fn eval_agg_v(
 // The executor
 // ---------------------------------------------------------------------------
 
-/// Execute one SELECT block over the database's columnar form. Emits a
-/// `sql.vectorize` trace span per block (subquery materialization nests).
+/// Execute one SELECT block over the database's columnar form. Enters the
+/// `sql.vectorize` stage once per block (subquery materialization nests).
 pub(crate) fn exec_select(
     p: &SelectPlan,
     db: &Database,
     mut prof: Option<&mut SelectProfile>,
 ) -> Result<ResultSet> {
-    let _span = obs::global().trace_span("sql.vectorize");
+    let _span = exec::sql_obs().vectorize.enter();
     let profiling = prof.is_some();
 
     // -- Scan: one selection vector per FROM entry --------------------------

@@ -219,14 +219,15 @@ impl ParSessionPool {
         scripts: &[Vec<NlQuestion>],
     ) -> Vec<Vec<Result<SystemResponse>>> {
         let registry = nli_core::obs::global();
-        let _timing = registry.span("pool.serve");
+        let _span = registry.span("pool.serve");
+        let session_stage = registry.stage("pool.session");
         registry.counter("pool.sessions").add(scripts.len() as u64);
         registry
             .counter("pool.turns")
             .add(scripts.iter().map(|s| s.len() as u64).sum());
         par::par_map(scripts, |_, script| {
-            // Per-session trace tree; shape is worker-count independent.
-            let _trace = nli_core::obs::global().trace_span("pool.session");
+            // Each session is its own trace tree (par items start fresh ones).
+            let _span = session_stage.enter();
             let mut session = Session::with_engine(self.engine.clone());
             script.iter().map(|q| session.ask(q, db)).collect()
         })

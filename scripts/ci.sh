@@ -72,6 +72,12 @@ NLI_THREADS=1 cargo test -q
 echo "==> cargo test (NLI_THREADS=4)"
 NLI_THREADS=4 cargo test -q
 
+# perfbench/ is a standalone Cargo workspace, so the workspace build above
+# never compiles it: build it and run its self-tests here, so a crate API
+# change cannot silently break the repository benchmark.
+echo "==> perfbench build + self-tests"
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 # Conformance-fuzz smoke (DESIGN.md §3.4): a fixed-seed batch must be
 # violation-free at 1 and 4 workers with byte-identical stdout, and the
 # negative --inject-bug pass must prove the oracle still fires.

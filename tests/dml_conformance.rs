@@ -18,6 +18,7 @@
 use nli_core::{with_threads, Column, DataType, Database, Prng, Schema, Store, Table, Value};
 use nli_sql::{compute_dml_tree_walk, parse_statement, SqlEngine};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// items: an indexed-friendly mix of Int/Text/Float/Date columns whose
 /// small value domains make generated WHERE clauses actually select rows.
@@ -145,8 +146,12 @@ fn probe_transcript(engine: &SqlEngine, db: &Database) -> Vec<String> {
         .collect()
 }
 
+/// A fresh directory unique to this call: tests in one process share the
+/// pid, so the name also carries a process-wide sequence number.
 fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("nli-dml-conf-{}-{tag}", std::process::id()));
+    static SEQ: AtomicUsize = AtomicUsize::new(0);
+    let n = SEQ.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("nli-dml-conf-{}-{n}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

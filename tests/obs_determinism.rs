@@ -56,7 +56,9 @@ fn tracing_does_not_alter_evaluation_output() {
     let _serial = GLOBAL_REGISTRY_LOCK.lock().unwrap();
     let bench = sql_bench();
     let parser = GrammarParser::new(GrammarConfig::neural());
+    let registry = obs::global();
     let trace_path = std::env::temp_dir().join(format!("nli-trace-{}.json", std::process::id()));
+    let mut tree_shapes = Vec::new();
 
     for threads in [1, 4] {
         // Baseline: tracing disabled (no NLI_TRACE, nothing exported).
@@ -64,11 +66,22 @@ fn tracing_does_not_alter_evaluation_output() {
         assert_eq!(obs::export_trace_if_requested().unwrap(), None);
         let baseline = zt(with_threads(threads, || evaluate_sql(&parser, &bench)));
 
-        // Traced run: NLI_TRACE set, full trace exported afterwards.
+        // Traced run: NLI_TRACE set, span trees recorded, full trace
+        // exported afterwards.
         std::env::set_var("NLI_TRACE", &trace_path);
+        obs::enable_trace_events_from_env();
+        let _ = registry.drain_trace_trees();
         let traced = zt(with_threads(threads, || evaluate_sql(&parser, &bench)));
         let written = obs::export_trace_if_requested().unwrap();
+        registry.set_trace_events(false);
         std::env::remove_var("NLI_TRACE");
+        let mut shapes: Vec<String> = registry
+            .drain_trace_trees()
+            .iter()
+            .map(|t| t.render(false))
+            .collect();
+        shapes.sort();
+        tree_shapes.push(shapes);
 
         assert_eq!(
             traced, baseline,
@@ -81,6 +94,13 @@ fn tracing_does_not_alter_evaluation_output() {
         assert!(trace.contains("\"eval.sql.examples\""), "{trace}");
     }
     let _ = std::fs::remove_file(&trace_path);
+    // Every par item starts a fresh tree, so the multiset of tree shapes
+    // does not depend on the worker count.
+    assert!(!tree_shapes[0].is_empty());
+    assert_eq!(
+        tree_shapes[0], tree_shapes[1],
+        "trace tree shapes differ between 1 and 4 workers"
+    );
 }
 
 #[test]
@@ -213,10 +233,28 @@ fn traced_queries_appear_as_nested_trace_events_in_export() {
     let stmt = engine.prepare(THREE_WAY, &db.schema).unwrap();
     {
         // `sql.execute` nests under this enclosing span on the same thread.
-        let _root = registry.trace_span("test.query");
+        let _root = registry.span("test.query");
         stmt.execute(&db).unwrap();
     }
     stmt.explain_analyze(&db).unwrap();
+    evaluate_sql(&GrammarParser::new(GrammarConfig::neural()), &sql_bench());
+
+    // One primitive times and traces every stage: each traced label has a
+    // histogram that counted at least as many entries as it has events.
+    let snap = registry.snapshot();
+    let mut events: BTreeMap<&str, u64> = BTreeMap::new();
+    for e in snap.trace_events.iter().flat_map(|t| &t.events) {
+        *events.entry(e.label.as_str()).or_default() += 1;
+    }
+    for (label, n) in &events {
+        let counted = snap.span_count(label).unwrap_or(0);
+        assert!(
+            counted >= *n,
+            "{label}: {n} trace events, {counted} in spans"
+        );
+    }
+    assert!(events.contains_key("eval.sql.example"), "{events:?}");
+    assert!(events.contains_key("sql.vectorize"), "{events:?}");
 
     let written = obs::export_trace_if_requested().unwrap().expect("path");
     registry.set_trace_events(false);
