@@ -58,6 +58,18 @@ impl Embedding {
             .sum()
     }
 
+    /// The non-zero components, for phrases compared against many others.
+    pub fn sparse(&self) -> SparseEmbedding {
+        SparseEmbedding(
+            self.0
+                .iter()
+                .enumerate()
+                .filter(|(_, x)| **x != 0.0)
+                .map(|(i, x)| (i as u16, *x))
+                .collect(),
+        )
+    }
+
     /// Elementwise mean of several embeddings, re-normalized. Used to embed
     /// bags of schema names.
     pub fn centroid(items: &[Embedding]) -> Embedding {
@@ -77,9 +89,50 @@ impl Embedding {
     }
 }
 
+/// An [`Embedding`]'s non-zero components in ascending dimension order.
+/// A short phrase touches a dozen of the [`DIM`] buckets, so this is
+/// ~20× smaller and its cosine ~20× cheaper.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SparseEmbedding(Box<[(u16, f32)]>);
+
+impl SparseEmbedding {
+    /// Bit-identical to [`Embedding::cosine`] of the dense vectors: the
+    /// products are summed in the same dimension order, and the skipped
+    /// zero products cannot change a float sum of non-negative terms.
+    pub fn cosine(&self, other: &SparseEmbedding) -> f64 {
+        let (a, b) = (&self.0, &other.0);
+        let (mut i, mut j) = (0, 0);
+        let mut sum = 0.0f64;
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    sum += (a[i].1 * b[j].1) as f64;
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        sum
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn sparse_cosine_is_bit_identical_to_dense(a in "[a-e _]{0,16}", b in "[a-e _]{0,16}") {
+            let (ea, eb) = (Embedding::of(&a), Embedding::of(&b));
+            prop_assert_eq!(
+                ea.sparse().cosine(&eb.sparse()).to_bits(),
+                ea.cosine(&eb).to_bits()
+            );
+        }
+    }
 
     #[test]
     fn identical_strings_have_cosine_one() {

@@ -22,8 +22,10 @@ pub mod synonyms;
 pub mod token;
 
 pub use chunk::{extract_numbers, extract_quoted, ngrams_upto};
-pub use embed::Embedding;
-pub use similarity::{jaccard, levenshtein, lexical_similarity, normalized_edit_similarity};
+pub use embed::{Embedding, SparseEmbedding};
+pub use similarity::{
+    jaccard, levenshtein, lexical_similarity, normalized_edit_similarity, LexicalForm,
+};
 pub use stem::stem;
 pub use stopwords::is_stopword;
 pub use synonyms::SynonymLexicon;

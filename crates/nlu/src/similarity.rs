@@ -7,6 +7,12 @@ use std::collections::HashSet;
 pub fn levenshtein(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
+    levenshtein_chars(&a, &b)
+}
+
+/// [`levenshtein`] over pre-split character slices, for callers that
+/// compare one string against many.
+fn levenshtein_chars(a: &[char], b: &[char]) -> usize {
     if a.is_empty() {
         return b.len();
     }
@@ -56,31 +62,78 @@ pub fn jaccard<'a>(
 /// Containment handles multi-word display names: "unit price" vs question
 /// token "price" should score well even though edit distance is poor.
 pub fn lexical_similarity(a: &str, b: &str) -> f64 {
-    let (a, b) = (a.to_lowercase(), b.to_lowercase());
-    if a == b {
-        return 1.0;
+    LexicalForm::new(a).similarity(&LexicalForm::new(b))
+}
+
+/// A string prepared for [`lexical_similarity`]: lower-cased once, with
+/// its characters and words split out, so a phrase compared against many
+/// others pays for the preparation once.
+#[derive(Debug, Clone)]
+pub struct LexicalForm {
+    text: String,
+    chars: Box<[char]>,
+    words: Box<[Box<str>]>,
+}
+
+impl LexicalForm {
+    pub fn new(s: &str) -> LexicalForm {
+        let text = s.to_lowercase();
+        let chars = text.chars().collect();
+        let words = text.split_whitespace().map(Box::from).collect();
+        LexicalForm { text, chars, words }
     }
-    let edit = normalized_edit_similarity(&a, &b);
-    let wa: Vec<&str> = a.split_whitespace().collect();
-    let wb: Vec<&str> = b.split_whitespace().collect();
-    let containment = if !wa.is_empty() && !wb.is_empty() {
-        let (small, large): (&Vec<&str>, &Vec<&str>) = if wa.len() <= wb.len() {
-            (&wa, &wb)
+
+    /// [`lexical_similarity`] of the two prepared strings.
+    pub fn similarity(&self, other: &LexicalForm) -> f64 {
+        if self.text == other.text {
+            return 1.0;
+        }
+        let max_len = self.chars.len().max(other.chars.len());
+        // both empty means equal texts, handled above
+        let edit = 1.0 - levenshtein_chars(&self.chars, &other.chars) as f64 / max_len as f64;
+        let (wa, wb) = (&self.words, &other.words);
+        let containment = if !wa.is_empty() && !wb.is_empty() {
+            let (small, large) = if wa.len() <= wb.len() {
+                (wa, wb)
+            } else {
+                (wb, wa)
+            };
+            let hits = small.iter().filter(|w| large.contains(w)).count();
+            0.9 * hits as f64 / small.len() as f64
         } else {
-            (&wb, &wa)
+            0.0
         };
-        let hits = small.iter().filter(|w| large.contains(w)).count();
-        0.9 * hits as f64 / small.len() as f64
-    } else {
-        0.0
-    };
-    edit.max(containment)
+        edit.max(containment)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The blended formula written out on plain strings.
+    fn direct_lexical_similarity(a: &str, b: &str) -> f64 {
+        let (a, b) = (a.to_lowercase(), b.to_lowercase());
+        if a == b {
+            return 1.0;
+        }
+        let edit = normalized_edit_similarity(&a, &b);
+        let wa: Vec<&str> = a.split_whitespace().collect();
+        let wb: Vec<&str> = b.split_whitespace().collect();
+        let containment = if !wa.is_empty() && !wb.is_empty() {
+            let (small, large) = if wa.len() <= wb.len() {
+                (&wa, &wb)
+            } else {
+                (&wb, &wa)
+            };
+            let hits = small.iter().filter(|w| large.contains(w)).count();
+            0.9 * hits as f64 / small.len() as f64
+        } else {
+            0.0
+        };
+        edit.max(containment)
+    }
 
     #[test]
     fn levenshtein_basics() {
@@ -125,6 +178,17 @@ mod tests {
         #[test]
         fn levenshtein_triangle(a in "[a-c]{0,6}", b in "[a-c]{0,6}", c in "[a-c]{0,6}") {
             prop_assert!(levenshtein(&a, &c) <= levenshtein(&a, &b) + levenshtein(&b, &c));
+        }
+
+        #[test]
+        fn prepared_similarity_matches_the_direct_formula(
+            a in "[a-cA-C ]{0,12}",
+            b in "[a-cA-C ]{0,12}",
+        ) {
+            prop_assert_eq!(
+                lexical_similarity(&a, &b).to_bits(),
+                direct_lexical_similarity(&a, &b).to_bits()
+            );
         }
 
         #[test]

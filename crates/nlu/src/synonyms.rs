@@ -112,6 +112,13 @@ impl SynonymLexicon {
         }
     }
 
+    /// Index of `word`'s group (case-insensitive), if it has one. Two
+    /// words are synonyms exactly when they are equal ignoring case or
+    /// share a group index.
+    pub fn group_of(&self, word: &str) -> Option<usize> {
+        self.index.get(&word.to_lowercase()).copied()
+    }
+
     /// All synonyms of `word` excluding itself, in group order.
     pub fn synonyms_of(&self, word: &str) -> Vec<&str> {
         let w = word.to_lowercase();

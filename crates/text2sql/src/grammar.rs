@@ -20,7 +20,7 @@
 
 use crate::analysis::{analyze, CmpKind, CondSketch, QuestionAnalysis};
 use crate::evidence::parse_evidence;
-use crate::linking::{LinkConfig, Linker};
+use crate::linking::{LinkConfig, Linker, SchemaSurfaces, Surface};
 use nli_core::{
     ColumnRef, DataType, Database, NlQuestion, NliError, Result, SemanticParser, Value,
 };
@@ -127,18 +127,18 @@ impl GrammarParser {
     // ---- grounding -------------------------------------------------------
 
     /// Score a phrase against a table's surface forms.
-    fn table_score(&self, phrase: &str, db: &Database, ti: usize) -> f64 {
-        let t = &db.schema.tables[ti];
-        let mut best =
-            self.linker
-                .phrase_score(phrase, &t.display, &t.name)
-                .max(
-                    self.linker
-                        .phrase_score(phrase, &t.name.replace('_', " "), &t.name),
-                );
+    fn table_score(
+        &self,
+        phrase: &str,
+        span: &Surface,
+        surfaces: &SchemaSurfaces,
+        db: &Database,
+        ti: usize,
+    ) -> f64 {
+        let mut best = self.linker.table_score(span, surfaces, ti);
         if let Some(al) = &self.linker.config.alignment {
             for w in phrase.split_whitespace() {
-                let s = al.table_score(w, &t.name);
+                let s = al.table_score(w, &db.schema.tables[ti].name);
                 if s > 0.0 {
                     best = best.max(0.5 + 0.5 * s);
                 }
@@ -149,9 +149,19 @@ impl GrammarParser {
 
     /// Ground a table phrase; `None` below threshold.
     pub fn ground_table(&self, phrase: &str, db: &Database) -> Option<usize> {
+        self.ground_table_in(phrase, db, &self.linker.schema_surfaces(&db.schema))
+    }
+
+    fn ground_table_in(
+        &self,
+        phrase: &str,
+        db: &Database,
+        surfaces: &SchemaSurfaces,
+    ) -> Option<usize> {
+        let span = self.linker.surface(phrase);
         let mut best: Option<(f64, usize)> = None;
         for ti in 0..db.schema.tables.len() {
-            let s = self.table_score(phrase, db, ti);
+            let s = self.table_score(phrase, &span, surfaces, db, ti);
             if s >= self.linker.config.threshold && best.is_none_or(|(bs, _)| s > bs) {
                 best = Some((s, ti));
             }
@@ -169,41 +179,55 @@ impl GrammarParser {
         &self,
         phrase: &str,
         db: &Database,
+        surfaces: &SchemaSurfaces,
         scope: &[usize],
         main: usize,
     ) -> Vec<(ColumnRef, f64)> {
+        let threshold = self.linker.config.threshold;
+        let span = self.linker.surface(phrase);
+        // split interpretations: "<table words> <column words>"
+        let words: Vec<&str> = phrase.split_whitespace().collect();
+        let splits: Vec<(String, Surface, Surface)> = (1..words.len())
+            .map(|split| {
+                let t_part = words[..split].join(" ");
+                let c_part = self.linker.surface(&words[split..].join(" "));
+                let t_surface = self.linker.surface(&t_part);
+                (t_part, t_surface, c_part)
+            })
+            .collect();
         let mut scored: Vec<(ColumnRef, f64)> = Vec::new();
         for &ti in scope {
+            // each split's table half depends on the table alone
+            let split_table_scores: Vec<f64> = splits
+                .iter()
+                .map(|(t_part, t_surface, _)| self.table_score(t_part, t_surface, surfaces, db, ti))
+                .collect();
             for (ci, c) in db.schema.tables[ti].columns.iter().enumerate() {
                 let r = ColumnRef {
                     table: ti,
                     column: ci,
                 };
-                let mut s = self.linker.phrase_score(phrase, &c.display, &c.name);
+                let col = surfaces.column(r);
+                let mut s = self.linker.score(&span, col);
                 if let Some(al) = &self.linker.config.alignment {
                     let learned = al.column_score(phrase, &c.name);
                     if learned > 0.0 {
                         s = s.max(0.5 + 0.5 * learned);
                     }
                 }
-                // split interpretation: "<table words> <column words>"
-                let words: Vec<&str> = phrase.split_whitespace().collect();
-                if words.len() >= 2 {
-                    for split in 1..words.len() {
-                        let t_part = words[..split].join(" ");
-                        let c_part = words[split..].join(" ");
-                        let ts = self.table_score(&t_part, db, ti);
-                        let cs = self.linker.phrase_score(&c_part, &c.display, &c.name);
-                        if ts >= self.linker.config.threshold && cs >= self.linker.config.threshold
-                        {
-                            s = s.max(0.5 * ts + 0.5 * cs + 0.02);
-                        }
+                for ((_, _, c_part), &ts) in splits.iter().zip(&split_table_scores) {
+                    if ts < threshold {
+                        continue;
+                    }
+                    let cs = self.linker.score(c_part, col);
+                    if cs >= threshold {
+                        s = s.max(0.5 * ts + 0.5 * cs + 0.02);
                     }
                 }
                 if ti == main {
                     s += 0.03;
                 }
-                if s >= self.linker.config.threshold {
+                if s >= threshold {
                     scored.push((r, s));
                 }
             }
@@ -221,7 +245,20 @@ impl GrammarParser {
         main: usize,
         alt: bool,
     ) -> Option<ColumnRef> {
-        let ranked = self.ground_column_ranked(phrase, db, scope, main);
+        let surfaces = self.linker.schema_surfaces(&db.schema);
+        self.ground_column_in(phrase, db, &surfaces, scope, main, alt)
+    }
+
+    fn ground_column_in(
+        &self,
+        phrase: &str,
+        db: &Database,
+        surfaces: &SchemaSurfaces,
+        scope: &[usize],
+        main: usize,
+        alt: bool,
+    ) -> Option<ColumnRef> {
+        let ranked = self.ground_column_ranked(phrase, db, surfaces, scope, main);
         if alt && ranked.len() > 1 {
             Some(ranked[1].0)
         } else {
@@ -256,8 +293,14 @@ impl GrammarParser {
     }
 
     /// A numeric column of `ti` for superlatives.
-    fn ground_numeric(&self, phrase: &str, db: &Database, ti: usize) -> Option<ColumnRef> {
-        self.ground_column_ranked(phrase, db, &[ti], ti)
+    fn ground_numeric(
+        &self,
+        phrase: &str,
+        db: &Database,
+        surfaces: &SchemaSurfaces,
+        ti: usize,
+    ) -> Option<ColumnRef> {
+        self.ground_column_ranked(phrase, db, surfaces, &[ti], ti)
             .into_iter()
             .map(|(r, _)| r)
             .find(|r| db.schema.column(*r).dtype.is_numeric())
@@ -343,18 +386,20 @@ impl GrammarParser {
     ) -> Result<Query> {
         let mut a = analyze(&question.text);
         self.resolve_knowledge(&mut a.conds, question);
+        let surfaces = self.linker.schema_surfaces(&db.schema);
 
         // ---- main table ----------------------------------------------------
         let main = a
             .table_phrase
             .as_deref()
-            .and_then(|p| self.ground_table(p, db))
-            .or_else(|| self.linker.link(&question.text, db).best_table())
+            .and_then(|p| self.ground_table_in(p, db, &surfaces))
+            .or_else(|| self.linker.best_table(&question.text, db))
             .ok_or_else(|| NliError::Parse("could not identify a table".into()))?;
 
         // ---- nested ---------------------------------------------------------
         if let (Some(n), true) = (&a.nested, self.cfg.enable_nested) {
-            if let Some(q) = self.build_nested(&a, n.negated, &n.child_phrase, main, db) {
+            if let Some(q) = self.build_nested(&a, n.negated, &n.child_phrase, main, db, &surfaces)
+            {
                 return Ok(q);
             }
         }
@@ -362,7 +407,7 @@ impl GrammarParser {
         // ---- compound --------------------------------------------------------
         if let (Some(op), true) = (a.compound, self.cfg.enable_compound) {
             if a.conds.len() >= 2 {
-                if let Some(q) = self.build_compound(&a, op, main, db) {
+                if let Some(q) = self.build_compound(&a, op, main, db, &surfaces) {
                     return Ok(q);
                 }
             }
@@ -382,7 +427,9 @@ impl GrammarParser {
                 continue; // unresolved concept: drop (a genuine failure mode)
             }
             let alt = alt_slot == Some(slot);
-            if let Some(col) = self.ground_column(&c.col_phrase, db, &scope_all, main, alt) {
+            if let Some(col) =
+                self.ground_column_in(&c.col_phrase, db, &surfaces, &scope_all, main, alt)
+            {
                 gconds.push(GroundCond {
                     col,
                     kind: c.kind.clone(),
@@ -396,21 +443,21 @@ impl GrammarParser {
         let superlatives: Vec<(AggFunc, ColumnRef)> = a
             .superlatives
             .iter()
-            .filter_map(|(f, p)| self.ground_numeric(p, db, main).map(|r| (*f, r)))
+            .filter_map(|(f, p)| self.ground_numeric(p, db, &surfaces, main).map(|r| (*f, r)))
             .collect();
 
         // group key
         let group_key = a
             .group_phrase
             .as_deref()
-            .and_then(|p| self.ground_column(p, db, &scope_all, main, false));
+            .and_then(|p| self.ground_column_in(p, db, &surfaces, &scope_all, main, false));
 
         // aggregate argument
         let agg = a.agg.as_ref().map(|s| {
             let arg = s
                 .arg_phrase
                 .as_deref()
-                .and_then(|p| self.ground_column(p, db, &scope_all, main, false));
+                .and_then(|p| self.ground_column_in(p, db, &surfaces, &scope_all, main, false));
             (s.func, arg)
         });
 
@@ -418,7 +465,7 @@ impl GrammarParser {
         let mut proj_cols: Vec<ColumnRef> = a
             .projections
             .iter()
-            .filter_map(|p| self.ground_column(p, db, &scope_all, main, false))
+            .filter_map(|p| self.ground_column_in(p, db, &surfaces, &scope_all, main, false))
             .collect();
 
         // order
@@ -426,7 +473,7 @@ impl GrammarParser {
             let col = if o.phrase == "the result" || o.phrase.is_empty() {
                 None
             } else {
-                self.ground_column(&o.phrase, db, &scope_all, main, false)
+                self.ground_column_in(&o.phrase, db, &surfaces, &scope_all, main, false)
             };
             (col, o.desc, o.limit)
         });
@@ -578,8 +625,9 @@ impl GrammarParser {
         child_phrase: &str,
         outer: usize,
         db: &Database,
+        surfaces: &SchemaSurfaces,
     ) -> Option<Query> {
-        let child = self.ground_table(child_phrase, db)?;
+        let child = self.ground_table_in(child_phrase, db, surfaces)?;
         let fk = db
             .schema
             .foreign_keys
@@ -597,7 +645,8 @@ impl GrammarParser {
             .conds
             .iter()
             .filter_map(|c| {
-                let col = self.ground_column(&c.col_phrase, db, &[child], child, false)?;
+                let col =
+                    self.ground_column_in(&c.col_phrase, db, surfaces, &[child], child, false)?;
                 self.build_cond(
                     db,
                     &GroundCond {
@@ -618,7 +667,7 @@ impl GrammarParser {
         let select_col = a
             .projections
             .first()
-            .and_then(|p| self.ground_column(p, db, &[outer], outer, false))
+            .and_then(|p| self.ground_column_in(p, db, surfaces, &[outer], outer, false))
             .unwrap_or_else(|| self.default_column(db, outer));
         let mut outer_sel = Select::simple(
             &db.schema.tables[outer].name,
@@ -640,15 +689,17 @@ impl GrammarParser {
         op: nli_sql::SetOp,
         table: usize,
         db: &Database,
+        surfaces: &SchemaSurfaces,
     ) -> Option<Query> {
         let col = a
             .projections
             .first()
-            .and_then(|p| self.ground_column(p, db, &[table], table, false))
+            .and_then(|p| self.ground_column_in(p, db, surfaces, &[table], table, false))
             .unwrap_or_else(|| self.default_column(db, table));
         let name = db.schema.tables[table].name.clone();
         let mk = |c: &CondSketch| -> Option<Query> {
-            let gcol = self.ground_column(&c.col_phrase, db, &[table], table, false)?;
+            let gcol =
+                self.ground_column_in(&c.col_phrase, db, surfaces, &[table], table, false)?;
             let cond = self.build_cond(
                 db,
                 &GroundCond {
@@ -967,6 +1018,33 @@ mod tests {
         let cands = p.parse_candidates(&q, &db(), 4);
         assert!(!cands.is_empty());
         assert!(cands.len() <= 4);
+    }
+
+    #[test]
+    fn schemas_differing_only_in_a_display_never_share_surfaces() {
+        // same structure, same fingerprint; only `price`'s display differs
+        let a = db();
+        let mut b = db();
+        b.schema.tables[0].columns[3].display = "cost".into();
+        assert_eq!(a.schema.fingerprint(), b.schema.fingerprint());
+        let q = NlQuestion::new("List the name of products with cost greater than 5.");
+        let fresh = |d: &Database| {
+            let p = GrammarParser::new(GrammarConfig::neural());
+            (
+                p.parse(&q, d).unwrap().to_string(),
+                p.ground_column("cost", d, &[0, 1], 0, false),
+            )
+        };
+        let (want_a, want_b) = (fresh(&a), fresh(&b));
+        assert_ne!(want_a, want_b, "the display must matter to grounding");
+        let shared = GrammarParser::new(GrammarConfig::neural());
+        for d in [&a, &b, &a, &b, &b, &a] {
+            let got = (
+                shared.parse(&q, d).unwrap().to_string(),
+                shared.ground_column("cost", d, &[0, 1], 0, false),
+            );
+            assert_eq!(got, fresh(d));
+        }
     }
 
     #[test]

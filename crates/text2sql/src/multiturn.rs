@@ -203,10 +203,18 @@ mod tests {
     fn follow_up_without_context_falls_back_to_fresh_parse() {
         let mut p = DialogueParser::new(GrammarConfig::neural());
         let d = db();
-        // "Only those..." with no previous turn cannot stand alone, but the
-        // parser should not panic; it attempts a fresh parse and errs.
+        // "Only those..." with no previous turn cannot stand alone: the
+        // parser attempts a fresh parse instead of an edit, which fails
+        // because nothing in the question names or links to a table
         let r = p.parse_turn(&NlQuestion::new("Only those with age above 30."), &d);
-        assert!(r.is_err() || r.is_ok()); // must not panic; either outcome is allowed
+        match r {
+            Err(NliError::Parse(msg)) => assert_eq!(msg, "could not identify a table"),
+            other => panic!("expected a table-identification error, got {other:?}"),
+        }
+        // the failed turn opened no dialogue: a later follow-up is still
+        // context-free and fails the same way
+        let t = p.parse_turn(&NlQuestion::new("How many are there?"), &d);
+        assert!(matches!(t, Err(NliError::Parse(_))), "{t:?}");
     }
 
     #[test]

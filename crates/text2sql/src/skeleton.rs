@@ -93,9 +93,7 @@ impl SkeletonParser {
             if learned <= 0.05 {
                 continue;
             }
-            let lexical = self
-                .backoff_linker
-                .phrase_score(phrase, &c.display, &c.name);
+            let lexical = self.backoff_linker.phrase_score(phrase, &c.display);
             let s = learned + 0.1 * lexical;
             if best.is_none_or(|(bs, _)| s > bs) {
                 best = Some((s, ci));
@@ -109,9 +107,7 @@ impl SkeletonParser {
         if self.contextual_backoff {
             let mut best: Option<(f64, usize)> = None;
             for (ci, c) in cols.iter().enumerate() {
-                let s = self
-                    .backoff_linker
-                    .phrase_score(phrase, &c.display, &c.name);
+                let s = self.backoff_linker.phrase_score(phrase, &c.display);
                 if s >= self.backoff_linker.config.threshold && best.is_none_or(|(bs, _)| s > bs) {
                     best = Some((s, ci));
                 }
@@ -143,7 +139,7 @@ impl SemanticParser for SkeletonParser {
                     let mut best: Option<(f64, usize)> = None;
                     for ti in 0..db.schema.tables.len() {
                         let t = &db.schema.tables[ti];
-                        let mut s = self.backoff_linker.phrase_score(p, &t.display, &t.name);
+                        let mut s = self.backoff_linker.phrase_score(p, &t.display);
                         for w in p.split_whitespace() {
                             s = s.max(self.alignment.table_score(w, &t.name));
                         }

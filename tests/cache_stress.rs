@@ -1,11 +1,22 @@
-//! Concurrency stress for [`nli_core::PlanCache`]: many threads hammering
-//! `get_or_insert` over a mixed hit/miss key population against a tiny
-//! capacity, so every pathological interleaving — racing double-compiles,
-//! evictions under contention, hits on entries another thread just
-//! inserted — happens constantly. The cache must never panic, never lose a
-//! lookup, and its accounting must stay exact.
+//! Concurrency stress for the shared caches.
+//!
+//! [`nli_core::PlanCache`]: many threads hammering `get_or_insert` over a
+//! mixed hit/miss key population against a tiny capacity, so every
+//! pathological interleaving — racing double-compiles, evictions under
+//! contention, hits on entries another thread just inserted — happens
+//! constantly. The cache must never panic, never lose a lookup, and its
+//! accounting must stay exact.
+//!
+//! The schema linker's per-schema surface cache: threads sharing one
+//! `GrammarParser` over many schemas race to build and read each schema's
+//! surfaces, and every parse must equal the single-threaded answer.
 
-use nli_core::PlanCache;
+use nli_core::{Database, NlQuestion, PlanCache, Prng, SemanticParser};
+use nli_data::builder::{generate_databases, generate_examples};
+use nli_data::nl_gen::NlStyle;
+use nli_data::schema_gen::DbGenConfig;
+use nli_data::sql_gen::SqlProfile;
+use nli_text2sql::{GrammarConfig, GrammarParser};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
@@ -98,4 +109,68 @@ fn concurrent_failures_and_successes_keep_accounting_exact() {
     assert_eq!(stats.hits + stats.misses, (THREADS * ROUNDS) as u64);
     assert!(stats.len <= CAPACITY);
     assert!(stats.hit_rate().is_finite());
+}
+
+/// One question's parser output, as text: the parse (or its error) and
+/// the execution-guided candidate list.
+fn parse_output(p: &GrammarParser, q: &NlQuestion, db: &Database) -> String {
+    let parse = match p.parse(q, db) {
+        Ok(sql) => sql.to_string(),
+        Err(e) => format!("ERR {e}"),
+    };
+    let cands: Vec<String> = p
+        .parse_candidates(q, db, 4)
+        .iter()
+        .map(|c| c.to_string())
+        .collect();
+    format!("{parse} | {}", cands.join(" || "))
+}
+
+#[test]
+fn shared_parser_over_many_schemas_matches_single_thread() {
+    const SCHEMAS: usize = 20;
+    let mut rng = Prng::new(0x05C4_E3A5);
+    let dbs = generate_databases(SCHEMAS, &DbGenConfig::default(), &mut rng);
+    let examples = generate_examples(
+        &dbs,
+        0..SCHEMAS,
+        &SqlProfile::spider(),
+        NlStyle::plain(),
+        3 * SCHEMAS,
+        &mut rng,
+    );
+    let distinct: std::collections::HashSet<usize> = examples.iter().map(|e| e.db).collect();
+    assert!(
+        distinct.len() >= 16,
+        "only {} schemas asked",
+        distinct.len()
+    );
+    let expected: Vec<String> = examples
+        .iter()
+        .map(|ex| {
+            // a fresh parser per question: no cache carried over
+            let p = GrammarParser::new(GrammarConfig::llm_reasoner());
+            parse_output(&p, &ex.question, &dbs[ex.db])
+        })
+        .collect();
+
+    let shared = GrammarParser::new(GrammarConfig::llm_reasoner());
+    let barrier = Barrier::new(THREADS);
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let (shared, barrier, dbs, examples, expected) =
+                (&shared, &barrier, &dbs, &examples, &expected);
+            s.spawn(move || {
+                barrier.wait();
+                // each thread starts at a different question, so threads
+                // race to build different schemas' surfaces first
+                for k in 0..examples.len() {
+                    let i = (k + t * examples.len() / THREADS) % examples.len();
+                    let ex = &examples[i];
+                    let got = parse_output(shared, &ex.question, &dbs[ex.db]);
+                    assert_eq!(got, expected[i], "thread {t}, question {i}");
+                }
+            });
+        }
+    });
 }
