@@ -4,6 +4,7 @@
 //! experiment in the harness.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use nli_bench::baseline;
 use nli_core::{with_threads, Prng};
 use nli_data::domains;
 use nli_data::schema_gen::{generate_database, DbGenConfig};
@@ -12,46 +13,11 @@ use nli_sql::SqlEngine;
 use std::hint::black_box;
 
 fn engine_benches(c: &mut Criterion) {
-    let domain = domains::domain("retail").unwrap();
-    let cfg = DbGenConfig {
-        min_tables: 3,
-        optional_col_p: 1.0,
-        rows: (200, 200),
-    };
-    let db = generate_database(domain, 0, &cfg, &mut Prng::new(42));
+    let db = baseline::baseline_db();
     let engine = SqlEngine::new();
 
-    let queries = [
-        ("scan", "SELECT * FROM products"),
-        ("filter", "SELECT name FROM products WHERE price > 100"),
-        (
-            "join",
-            "SELECT products.name, sales.amount FROM sales JOIN products \
-             ON sales.product_id = products.id",
-        ),
-        (
-            "group",
-            "SELECT category, AVG(price) FROM products GROUP BY category",
-        ),
-        (
-            "join_group_order",
-            "SELECT products.category, SUM(sales.amount) FROM sales JOIN products \
-             ON sales.product_id = products.id GROUP BY products.category \
-             ORDER BY SUM(sales.amount) DESC",
-        ),
-        (
-            "nested",
-            "SELECT name FROM products WHERE id IN \
-             (SELECT product_id FROM sales WHERE amount > 500)",
-        ),
-        (
-            "set_op",
-            "SELECT category FROM products UNION SELECT city FROM stores",
-        ),
-    ];
-
     let mut group = c.benchmark_group("sql_engine");
-    for (name, sql) in queries {
+    for (name, sql) in baseline::QUERIES {
         // validate once so a broken query fails loudly, not silently
         engine.run_sql(sql, &db).unwrap();
         group.bench_function(name, |b| {

@@ -9,10 +9,12 @@
 //! run. The file is the first point of the perf trajectory the ROADMAP's
 //! north star needs; timings are machine-dependent, row counts are not.
 //!
-//! [`validate`] is the checked-in schema check: `scripts/ci.sh` (under
-//! `NLI_BENCH=1`) emits a smoke baseline and re-reads it through this
-//! validator, so the emitter and the schema cannot drift apart silently.
+//! [`validate`] is the checked-in schema check, run through the shared
+//! [`crate::doc`] path: every emit validates itself before writing,
+//! `scripts/ci.sh` (under `NLI_BENCH=1`) re-reads a smoke baseline with
+//! `--check`, and a unit test checks the committed file.
 
+use crate::doc::{self, percentile, require_number};
 use nli_core::{Database, Prng};
 use nli_data::domains;
 use nli_data::schema_gen::{generate_database, DbGenConfig};
@@ -24,9 +26,20 @@ use std::time::Instant;
 /// Bumped whenever the emitted document shape changes.
 pub const SCHEMA_VERSION: i64 = 1;
 
-/// The benchmark queries: the same seven-step cost ladder
-/// `benches/bench_engine.rs` measures under criterion, so the two harnesses
-/// stay comparable.
+/// The document's `suite` header.
+pub const SUITE: &str = "sql_engine";
+
+/// The `baseline` binary's document: `BENCH_baseline.json`.
+pub const DOC: doc::Spec = doc::Spec {
+    bin: "baseline",
+    kind: "baseline",
+    default_out: "BENCH_baseline.json",
+    validate,
+};
+
+/// The benchmark queries: the seven-step cost ladder, also measured under
+/// criterion by `benches/bench_engine.rs` (which imports it), so the two
+/// harnesses stay comparable.
 pub const QUERIES: [(&str, &str); 7] = [
     ("scan", "SELECT * FROM products"),
     ("filter", "SELECT name FROM products WHERE price > 100"),
@@ -67,8 +80,6 @@ pub fn baseline_db() -> Database {
     };
     generate_database(domain, 0, &cfg, &mut Prng::new(42))
 }
-
-use crate::summary::percentile;
 
 /// Run every benchmark for `iters` timed iterations and build the
 /// `BENCH_baseline.json` document.
@@ -132,7 +143,7 @@ pub fn run(iters: usize) -> Value {
     }
     Value::obj([
         ("schema_version", Value::from(SCHEMA_VERSION)),
-        ("suite", Value::from("sql_engine")),
+        ("suite", Value::from(SUITE)),
         (
             "database",
             Value::obj([
@@ -145,26 +156,11 @@ pub fn run(iters: usize) -> Value {
     ])
 }
 
-fn require_number(entry: &Value, key: &str, name: &str) -> Result<f64, String> {
-    entry
-        .get(key)
-        .and_then(Value::as_f64)
-        .filter(|v| v.is_finite() && *v >= 0.0)
-        .ok_or_else(|| format!("benchmark {name:?}: missing or invalid {key}"))
-}
-
 /// The schema check for an emitted baseline document. Returns the first
 /// problem found, or `Ok` for a well-formed baseline with at least six
 /// benchmarks.
 pub fn validate(doc: &Value) -> Result<(), String> {
-    match doc.get("schema_version").and_then(Value::as_i64) {
-        Some(v) if v == SCHEMA_VERSION => {}
-        Some(v) => return Err(format!("schema_version {v} != {SCHEMA_VERSION}")),
-        None => return Err("missing schema_version".into()),
-    }
-    if doc.get("suite").and_then(Value::as_str).is_none() {
-        return Err("missing suite".into());
-    }
+    doc::check_header(doc, SCHEMA_VERSION, SUITE)?;
     let benchmarks = doc
         .get("benchmarks")
         .and_then(Value::as_array)
@@ -183,37 +179,38 @@ pub fn validate(doc: &Value) -> Result<(), String> {
             return Err(format!("duplicate benchmark name {name:?}"));
         }
         names.push(name);
+        let ctx = format!("benchmark {name:?}");
         let iters = entry
             .get("iters")
             .and_then(Value::as_i64)
-            .ok_or_else(|| format!("benchmark {name:?}: missing iters"))?;
+            .ok_or_else(|| format!("{ctx}: missing iters"))?;
         if iters < 1 {
-            return Err(format!("benchmark {name:?}: iters < 1"));
+            return Err(format!("{ctx}: iters < 1"));
         }
-        let median = require_number(entry, "median_micros", name)?;
-        let p95 = require_number(entry, "p95_micros", name)?;
-        let min = require_number(entry, "min_micros", name)?;
-        require_number(entry, "mean_micros", name)?;
-        require_number(entry, "rows_out", name)?;
+        let median = require_number(entry, "median_micros", &ctx)?;
+        let p95 = require_number(entry, "p95_micros", &ctx)?;
+        let min = require_number(entry, "min_micros", &ctx)?;
+        require_number(entry, "mean_micros", &ctx)?;
+        require_number(entry, "rows_out", &ctx)?;
         if min > median || median > p95 {
             return Err(format!(
-                "benchmark {name:?}: percentiles out of order (min={min} median={median} p95={p95})"
+                "{ctx}: percentiles out of order (min={min} median={median} p95={p95})"
             ));
         }
         let ops = entry
             .get("op_stats")
             .and_then(Value::as_array)
-            .ok_or_else(|| format!("benchmark {name:?}: missing op_stats"))?;
+            .ok_or_else(|| format!("{ctx}: missing op_stats"))?;
         if ops.is_empty() {
-            return Err(format!("benchmark {name:?}: empty op_stats"));
+            return Err(format!("{ctx}: empty op_stats"));
         }
         for op in ops {
             let kind = op
                 .get("op")
                 .and_then(Value::as_str)
-                .ok_or_else(|| format!("benchmark {name:?}: op_stats entry missing op"))?;
+                .ok_or_else(|| format!("{ctx}: op_stats entry missing op"))?;
             for key in ["count", "rows_in", "rows_out"] {
-                require_number(op, key, name).map_err(|e| format!("{e} (op {kind:?})"))?;
+                require_number(op, key, &ctx).map_err(|e| format!("{e} (op {kind:?})"))?;
             }
         }
     }
@@ -244,21 +241,73 @@ mod tests {
         validate(&reparsed).unwrap();
     }
 
+    /// `doc` with `f` applied to its first benchmark entry.
+    fn with_first_benchmark(mut doc: Value, f: impl FnOnce(&mut Value)) -> Value {
+        if let Some(Value::Array(mut benchmarks)) = doc.get("benchmarks").cloned() {
+            f(&mut benchmarks[0]);
+            doc.set("benchmarks", Value::Array(benchmarks));
+        }
+        doc
+    }
+
     #[test]
     fn validate_rejects_malformed_documents() {
-        let mut doc = run(1);
-        doc.set("schema_version", 99i64);
-        assert!(validate(&doc).unwrap_err().contains("schema_version"));
-
-        let doc = Value::obj([("schema_version", Value::from(SCHEMA_VERSION))]);
-        assert!(validate(&doc).is_err());
-
-        let mut doc = run(1);
-        if let Some(Value::Array(benchmarks)) = doc.get("benchmarks").cloned() {
-            let mut short = benchmarks;
-            short.truncate(3);
-            doc.set("benchmarks", Value::Array(short));
+        let good = run(1);
+        validate(&good).unwrap();
+        let set = |key: &'static str, v: Value| {
+            let mut doc = good.clone();
+            doc.set(key, v);
+            doc
+        };
+        let first = |f: fn(&mut Value)| with_first_benchmark(good.clone(), f);
+        let short = match good.get("benchmarks") {
+            Some(Value::Array(b)) => Value::Array(b[..3].to_vec()),
+            _ => unreachable!(),
+        };
+        let cases: Vec<(&str, Value, &str)> = vec![
+            (
+                "wrong version",
+                set("schema_version", Value::from(99i64)),
+                "schema_version",
+            ),
+            (
+                "missing suite",
+                Value::obj([("schema_version", Value::from(SCHEMA_VERSION))]),
+                "suite",
+            ),
+            (
+                "wrong suite",
+                set("suite", Value::from("sql_scaled")),
+                "suite",
+            ),
+            (
+                "short benchmark list",
+                set("benchmarks", short),
+                "need >= 6",
+            ),
+            (
+                "unordered percentiles",
+                first(|b| b.set("median_micros", Value::from(1e12))),
+                "out of order",
+            ),
+            (
+                "negative number",
+                first(|b| b.set("mean_micros", Value::from(-1.0))),
+                "invalid mean_micros",
+            ),
+            (
+                "missing number",
+                first(|b| {
+                    if let Value::Object(pairs) = b {
+                        pairs.retain(|(k, _)| k != "rows_out");
+                    }
+                }),
+                "invalid rows_out",
+            ),
+        ];
+        for (what, doc, want) in cases {
+            let err = validate(&doc).expect_err(what);
+            assert!(err.contains(want), "{what}: {err}");
         }
-        assert!(validate(&doc).unwrap_err().contains("need >= 6"));
     }
 }

@@ -12,10 +12,13 @@
 //! * `fig4_timeline` — the approach-evolution timeline.
 //!
 //! [`suite`] builds the standard benchmark set and the trained parser
-//! registry so every binary measures the same artifacts.
+//! registry so every binary measures the same artifacts. The headless
+//! emitters [`baseline`] and [`scaled`] write their `BENCH_*.json`
+//! documents through the one [`doc`] path (header check, sample
+//! reductions, `--out`/`--check`).
 
 pub mod baseline;
+pub mod doc;
 pub mod scaled;
 pub mod suite;
-pub mod summary;
 pub mod timeline;

@@ -18,7 +18,10 @@
 //!
 //! The 10 k and 100 k rungs are the committed defaults; the 1 M rung is
 //! opt-in (`--full`) because the interpreter leg alone takes seconds.
+//! [`validate`] runs through the shared [`crate::doc`] path, like the
+//! baseline's.
 
+use crate::doc::{self, median_upper, require_number};
 use nli_core::{Column, DataType, Database, Prng, Schema, Table, Value};
 use nli_sql::interp::run_tree_walk;
 use nli_sql::parser::parse_query;
@@ -29,6 +32,17 @@ use std::time::Instant;
 
 /// Bumped whenever the emitted document shape changes.
 pub const SCHEMA_VERSION: i64 = 1;
+
+/// The document's `suite` header.
+pub const SUITE: &str = "sql_scaled";
+
+/// The `scaled` binary's document: `BENCH_scaled.json`.
+pub const DOC: doc::Spec = doc::Spec {
+    bin: "scaled",
+    kind: "scaled ladder",
+    default_out: "BENCH_scaled.json",
+    validate,
+};
 
 /// Fact-table row counts of the committed ladder rungs.
 pub const DEFAULT_RUNGS: [usize; 2] = [10_000, 100_000];
@@ -176,7 +190,7 @@ fn time_micros(iters: usize, mut f: impl FnMut()) -> (f64, f64) {
         samples.push(start.elapsed().as_micros() as f64);
     }
     samples.sort_by(f64::total_cmp);
-    (crate::summary::median_upper(&samples), samples[0])
+    (median_upper(&samples), samples[0])
 }
 
 /// Run one rung: every ladder query through three executors — the
@@ -260,30 +274,15 @@ pub fn run(rungs: &[usize], iters: usize) -> Json {
     let rung_docs: Vec<Json> = rungs.iter().map(|&rows| run_rung(rows, iters)).collect();
     Json::obj([
         ("schema_version", Json::from(SCHEMA_VERSION)),
-        ("suite", Json::from("sql_scaled")),
+        ("suite", Json::from(SUITE)),
         ("rungs", Json::Array(rung_docs)),
     ])
-}
-
-fn require_number(entry: &Json, key: &str, ctx: &str) -> Result<f64, String> {
-    entry
-        .get(key)
-        .and_then(Json::as_f64)
-        .filter(|v| v.is_finite() && *v >= 0.0)
-        .ok_or_else(|| format!("{ctx}: missing or invalid {key}"))
 }
 
 /// Schema check for an emitted scaled document: well-formed rungs, every
 /// benchmark carrying both timing legs and a consistent speedup.
 pub fn validate(doc: &Json) -> Result<(), String> {
-    match doc.get("schema_version").and_then(Json::as_i64) {
-        Some(v) if v == SCHEMA_VERSION => {}
-        Some(v) => return Err(format!("schema_version {v} != {SCHEMA_VERSION}")),
-        None => return Err("missing schema_version".into()),
-    }
-    if doc.get("suite").and_then(Json::as_str) != Some("sql_scaled") {
-        return Err("missing or wrong suite".into());
-    }
+    doc::check_header(doc, SCHEMA_VERSION, SUITE)?;
     let rungs = doc
         .get("rungs")
         .and_then(Json::as_array)
@@ -359,17 +358,100 @@ mod tests {
         validate(&reparsed).unwrap();
     }
 
+    /// `doc` with `f` applied to its first rung.
+    fn with_first_rung(doc: &Json, f: impl FnOnce(&mut Json)) -> Json {
+        let mut doc = doc.clone();
+        let Some(Json::Array(mut rungs)) = doc.get("rungs").cloned() else {
+            unreachable!()
+        };
+        f(&mut rungs[0]);
+        doc.set("rungs", Json::Array(rungs));
+        doc
+    }
+
+    /// `doc` with `f` applied to its first rung's first benchmark entry.
+    fn with_first_benchmark(doc: &Json, f: fn(&mut Json)) -> Json {
+        with_first_rung(doc, |rung| {
+            let Some(Json::Array(mut benchmarks)) = rung.get("benchmarks").cloned() else {
+                unreachable!()
+            };
+            f(&mut benchmarks[0]);
+            rung.set("benchmarks", Json::Array(benchmarks));
+        })
+    }
+
     #[test]
     fn validate_rejects_malformed_documents() {
-        let mut doc = run(&[200], 1);
-        doc.set("schema_version", 99i64);
-        assert!(validate(&doc).unwrap_err().contains("schema_version"));
-
-        let doc = Json::obj([
-            ("schema_version", Json::from(SCHEMA_VERSION)),
-            ("suite", Json::from("sql_scaled")),
-        ]);
-        assert!(validate(&doc).unwrap_err().contains("rungs"));
+        let good = run(&[200], 1);
+        validate(&good).unwrap();
+        let mut wrong_version = good.clone();
+        wrong_version.set("schema_version", 99i64);
+        let mut wrong_suite = good.clone();
+        wrong_suite.set("suite", "sql_engine");
+        let first = |f| with_first_benchmark(&good, f);
+        let cases: Vec<(&str, Json, &str)> = vec![
+            ("wrong version", wrong_version, "schema_version"),
+            (
+                "missing suite",
+                Json::obj([("schema_version", Json::from(SCHEMA_VERSION))]),
+                "suite",
+            ),
+            ("wrong suite", wrong_suite, "suite"),
+            (
+                "missing rungs",
+                Json::obj([
+                    ("schema_version", Json::from(SCHEMA_VERSION)),
+                    ("suite", Json::from(SUITE)),
+                ]),
+                "rungs",
+            ),
+            (
+                "short benchmark list",
+                with_first_rung(&good, |rung| {
+                    if let Some(Json::Array(benchmarks)) = rung.get("benchmarks").cloned() {
+                        rung.set("benchmarks", Json::Array(benchmarks[..3].to_vec()));
+                    }
+                }),
+                "3 benchmarks (expected 8)",
+            ),
+            (
+                "inconsistent speedup",
+                first(|b| {
+                    b.set("interp_median_micros", 20.0);
+                    b.set("vectorized_median_micros", 10.0);
+                    b.set("speedup", 1e9);
+                }),
+                "speedup",
+            ),
+            (
+                "inconsistent index_speedup",
+                first(|b| {
+                    b.set("interp_median_micros", 20.0);
+                    b.set("vectorized_median_micros", 10.0);
+                    b.set("speedup", 2.0);
+                    b.set("index_speedup", 1e9);
+                }),
+                "index_speedup",
+            ),
+            (
+                "negative number",
+                first(|b| b.set("interp_min_micros", -1.0)),
+                "invalid interp_min_micros",
+            ),
+            (
+                "missing number",
+                first(|b| {
+                    if let Json::Object(pairs) = b {
+                        pairs.retain(|(k, _)| k != "fullscan_median_micros");
+                    }
+                }),
+                "invalid fullscan_median_micros",
+            ),
+        ];
+        for (what, doc, want) in cases {
+            let err = validate(&doc).expect_err(what);
+            assert!(err.contains(want), "{what}: {err}");
+        }
     }
 
     #[test]

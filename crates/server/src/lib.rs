@@ -21,10 +21,11 @@
 //! * [`server`] — the accept loop, per-connection state machine, admin
 //!   plane (`STATS`/`SLOWLOG`/`HEALTH`), and drain protocol.
 //!
-//! [`loadgen`] and [`mod@bench`] close the loop: a closed-loop concurrent
-//! client fleet and the `BENCH_server.json` emitter it feeds (see
-//! EXPERIMENTS.md for how the numbers are read, and
-//! `docs/capacity-runbook.md` for operating the server).
+//! [`loadgen`] closes the loop: a closed-loop concurrent client fleet
+//! whose response transcripts are the 1-vs-N-worker determinism probe and
+//! which drives the admin-plane smoke. Wire latency is measured by the
+//! repository benchmark, `perfbench` (see EXPERIMENTS.md);
+//! `docs/capacity-runbook.md` covers operating the server.
 //!
 //! ## Example
 //!
@@ -46,7 +47,6 @@
 
 pub mod admission;
 pub mod batch;
-pub mod bench;
 pub mod db;
 pub mod loadgen;
 pub mod proto;

@@ -8,38 +8,43 @@
 //! loop is *closed*: a client sends its next request only after the
 //! previous response fully arrived, and retries (unrecorded) on `BUSY`.
 //!
-//! Two outputs per run: the `BENCH_server.json` document (latency
-//! percentiles and throughput — machine-dependent) and per-client
-//! response transcripts (byte-exact, scheduling-independent). The
+//! A run yields per-client response transcripts (byte-exact,
+//! scheduling-independent) and the count of `BUSY` retries. The
 //! transcripts are the determinism probe `scripts/ci.sh` byte-compares
 //! across executor-worker counts; `BUSY` lines are excluded from them
-//! because rejection counts legitimately vary with scheduling.
+//! because rejection counts legitimately vary with scheduling. The fleet
+//! also drives a live server for the admin-plane smoke (`--connect`).
+//! It records no latency: wire latency is measured by the repository
+//! benchmark (`perfbench`, workload `sql_mix`), which uses a seeded,
+//! de-lockstepped request mix and checks every answer.
 
-use crate::bench::{self, RunTotals};
 use crate::server::{self, ServerConfig};
 use nli_bench::baseline;
-use serde_json::Value;
-use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The prepared hot statement every client binds as `hot`.
 pub const HOT_QUERY: &str = "SELECT name FROM products WHERE price > 100";
 
-/// Load-generator shape; also the `server`/`workload` sections of the
-/// emitted document.
+/// Load-generator shape. `clients` and `requests_per_client` size the
+/// fleet in both modes; the server fields configure the in-process
+/// server of [`run_loadgen`] and are ignored by [`run_loadgen_against`],
+/// which drives a server somebody else configured.
 #[derive(Debug, Clone)]
 pub struct LoadgenConfig {
+    /// Concurrent clients, each its own tenant `client-<i>`.
     pub clients: usize,
+    /// Requests each client sends (`BUSY` retries not counted).
     pub requests_per_client: usize,
+    /// In-process server's admission limit ([`run_loadgen`] only).
     pub admission_limit: usize,
+    /// In-process server's batch cap ([`run_loadgen`] only).
     pub batch_max: usize,
+    /// In-process server's executor workers ([`run_loadgen`] only).
     pub exec_workers: usize,
-    /// Slow-query capture threshold forwarded to the in-process server
-    /// ([`run_loadgen`] mode only; [`run_loadgen_against`] drives a server
-    /// somebody else configured).
+    /// In-process server's slow-query capture threshold ([`run_loadgen`]
+    /// only).
     pub slow_threshold_micros: Option<u64>,
 }
 
@@ -58,8 +63,6 @@ impl Default for LoadgenConfig {
 
 /// Everything one run produced.
 pub struct LoadgenReport {
-    /// The `BENCH_server.json` document (already validated).
-    pub doc: Value,
     /// Per-client response transcripts, client order; `BUSY` lines
     /// excluded. Byte-identical across executor-worker counts.
     pub dumps: Vec<Vec<u8>>,
@@ -150,7 +153,6 @@ impl Client {
 }
 
 struct ClientOutcome {
-    samples: Vec<(&'static str, f64)>,
     dump: Vec<u8>,
     busy: u64,
 }
@@ -170,38 +172,31 @@ fn run_client(addr: SocketAddr, index: usize, requests: usize) -> std::io::Resul
         &format!("OK tenant client-{index}"),
     )?;
     client.expect(&format!("PREPARE hot {HOT_QUERY}"), "OK prepared hot")?;
-    let mut samples = Vec::with_capacity(requests);
     let mut busy = 0u64;
     for j in 0..requests {
-        let (name, frame) = if j % 8 == 7 {
-            ("exec_hot", "EXEC hot".to_string())
+        let frame = if j % 8 == 7 {
+            "EXEC hot".to_string()
         } else {
-            let (name, sql) = baseline::QUERIES[j % baseline::QUERIES.len()];
-            (name, format!("SQL {sql}"))
+            let (_, sql) = baseline::QUERIES[j % baseline::QUERIES.len()];
+            format!("SQL {sql}")
         };
         loop {
-            let start = Instant::now();
             client.send(&frame)?;
             let lines = client.read_response()?;
             if lines.len() == 1 && lines[0].starts_with("BUSY ") {
                 busy += 1;
                 continue; // closed-loop retry; not recorded anywhere
             }
-            samples.push((name, start.elapsed().as_micros() as f64));
             record(&lines, &mut dump);
             break;
         }
     }
     client.expect("QUIT", "OK bye")?;
-    Ok(ClientOutcome {
-        samples,
-        dump,
-        busy,
-    })
+    Ok(ClientOutcome { dump, busy })
 }
 
 /// Start an in-process server on a fresh loopback port, run the client
-/// fleet against it, shut the server down, and reduce the measurements.
+/// fleet against it, and shut the server down.
 pub fn run_loadgen(cfg: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
     let db = Arc::new(baseline::baseline_db());
     let mut server_cfg = ServerConfig::new(db);
@@ -218,53 +213,26 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
 /// Run the client fleet against an *already running* server (the
 /// `--connect` mode of `nli-server-loadgen`, and what the admin-plane CI
 /// smoke uses so `STATS TENANT` counts can be reconciled before the
-/// server drains). The caller owns the server's lifecycle; the
-/// `admission_limit`/`batch_max`/`exec_workers` fields of `cfg` only
-/// label the emitted document here.
+/// server drains). The caller owns the server's lifecycle; only the
+/// fleet-size fields of `cfg` apply.
 pub fn run_loadgen_against(
     addr: SocketAddr,
     cfg: &LoadgenConfig,
 ) -> std::io::Result<LoadgenReport> {
-    let started = Instant::now();
     let outcomes: Vec<std::io::Result<ClientOutcome>> = std::thread::scope(|scope| {
         let threads: Vec<_> = (0..cfg.clients.max(1))
             .map(|i| scope.spawn(move || run_client(addr, i, cfg.requests_per_client.max(1))))
             .collect();
         threads.into_iter().map(|t| t.join().unwrap()).collect()
     });
-    let elapsed_micros = started.elapsed().as_micros() as f64;
-
-    let mut samples_by_name: BTreeMap<String, Vec<f64>> = BTreeMap::new();
     let mut dumps = Vec::with_capacity(outcomes.len());
     let mut rejected_busy_retries = 0u64;
-    let mut responses = 0u64;
     for outcome in outcomes {
         let outcome = outcome?;
-        responses += outcome.samples.len() as u64;
         rejected_busy_retries += outcome.busy;
-        for (name, micros) in outcome.samples {
-            samples_by_name
-                .entry(name.to_string())
-                .or_default()
-                .push(micros);
-        }
         dumps.push(outcome.dump);
     }
-    let totals = RunTotals {
-        requests: (cfg.clients.max(1) * cfg.requests_per_client.max(1)) as u64,
-        responses,
-        rejected_busy_retries,
-        elapsed_micros,
-    };
-    let doc = bench::build_doc(cfg, &samples_by_name, &totals);
-    bench::validate(&doc).map_err(|e| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("emitted document failed its own schema check: {e}"),
-        )
-    })?;
     Ok(LoadgenReport {
-        doc,
         dumps,
         rejected_busy_retries,
     })

@@ -30,9 +30,10 @@
 //!    perturbs that order, a final sort over those tuples restores it
 //!    bit-exactly before the residual filter runs.
 //!
-//! Chunk size is [`DEFAULT_BATCH_ROWS`] rows, overridable per process with
-//! `NLI_BATCH_ROWS` (read once) or per call tree with [`with_batch_rows`]
-//! (used by the conformance property tests to exercise odd sizes).
+//! Chunk size is [`DEFAULT_BATCH_ROWS`] rows, overridable only per call
+//! tree with [`with_batch_rows`] (used by the conformance property tests to
+//! exercise odd sizes), so EXPLAIN ANALYZE `batches` counts do not depend
+//! on the environment.
 
 use crate::ast::{AggFunc, BinOp};
 use crate::exec::{self, ResultSet};
@@ -61,20 +62,11 @@ pub fn with_batch_rows<T>(n: usize, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Effective chunk size: thread override, else `NLI_BATCH_ROWS` (read once
-/// per process), else [`DEFAULT_BATCH_ROWS`].
+/// Effective chunk size: the thread override, else [`DEFAULT_BATCH_ROWS`].
 fn batch_rows() -> usize {
-    if let Some(n) = BATCH_OVERRIDE.with(|c| c.get()) {
-        return n;
-    }
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    ENV.get_or_init(|| {
-        std::env::var("NLI_BATCH_ROWS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-    })
-    .unwrap_or(DEFAULT_BATCH_ROWS)
+    BATCH_OVERRIDE
+        .with(|c| c.get())
+        .unwrap_or(DEFAULT_BATCH_ROWS)
 }
 
 /// Number of chunks a stage over `rows` input rows processes (the

@@ -1,7 +1,7 @@
 //! Batch-size conformance for the vectorized executor (ISSUE 6 satellite).
 //!
-//! The columnar pipeline chunks every stage by `NLI_BATCH_ROWS` (default
-//! 4096). Chunking must be invisible: for any generated query, running the
+//! The columnar pipeline chunks every stage into `DEFAULT_BATCH_ROWS`
+//! (4096) positions; tests override it with `with_batch_rows`. Chunking must be invisible: for any generated query, running the
 //! cost-based plan at batch size 1 (degenerate row-at-a-time), 7 (prime,
 //! never divides the row counts), and the default must each produce a
 //! result byte-identical to the reference tree-walk interpreter — same
